@@ -115,7 +115,7 @@ Result<size_t> EdmsEngine::SubmitOffers(std::span<const FlexOffer> offers,
   prices.reserve(offers.size());
   for (const FlexOffer& offer : offers) {
     ++stats_.offers_received;
-    MIRABEL_RETURN_IF_ERROR(lifecycle_.Begin(offer.id));
+    MIRABEL_RETURN_IF_ERROR(lifecycle_.Begin(offer.id, offer.owner));
     double price = 0.0;
     bool agreed = offer.Validate().ok();
     if (agreed && config_.negotiate) {
@@ -146,10 +146,6 @@ Result<size_t> EdmsEngine::SubmitOffers(std::span<const FlexOffer> offers,
     const FlexOffer& offer = admitted[i];
     ++stats_.offers_accepted;
     stats_.payments_eur += prices[i];
-    (void)store_.PutFlexOffer(offer);
-    (void)store_.TransitionFlexOffer(offer.id,
-                                     storage::FlexOfferState::kAccepted);
-    (void)store_.SetAgreedPrice(offer.id, prices[i]);
     MIRABEL_RETURN_IF_ERROR(
         lifecycle_.Transition(offer.id, OfferState::kAccepted).status());
     events_.Push(OfferAccepted{offer.id, offer.owner, now, prices[i]});
@@ -170,6 +166,7 @@ Status EdmsEngine::Advance(TimeSlice now) {
 }
 
 void EdmsEngine::ExpireDeadlines(TimeSlice now) {
+  // Flush returns update records, not a Status; aggregates() is read instead.
   (void)pipeline_.Flush();
   const TimeSlice horizon_start = now + 1;
 
@@ -186,12 +183,14 @@ void EdmsEngine::ExpireDeadlines(TimeSlice now) {
     }
   }
   for (const auto& [id, owner] : expired_members) {
+    // Cannot fail: the id was just read from the pipeline's own aggregates.
     (void)pipeline_.Remove(id);
-    (void)store_.TransitionFlexOffer(id, storage::FlexOfferState::kExpired);
+    // Cannot fail: pipeline members are kAccepted, which may expire.
     (void)lifecycle_.Transition(id, OfferState::kExpired);
     ++stats_.offers_expired_in_pipeline;
     events_.Push(OfferExpired{id, owner, now});
   }
+  // Update records are not needed here either (see the first Flush).
   if (!expired_members.empty()) (void)pipeline_.Flush();
 
   // (b) Forwarded macros whose schedule never returned from the parent
@@ -205,8 +204,7 @@ void EdmsEngine::ExpireDeadlines(TimeSlice now) {
   for (FlexOfferId macro_id : stale_macros) {
     auto it = pending_macros_.find(macro_id);
     for (const auto& m : it->second.members) {
-      (void)store_.TransitionFlexOffer(m.offer.id,
-                                       storage::FlexOfferState::kExpired);
+      // Cannot fail: members of a pending macro stay kAggregated.
       (void)lifecycle_.Transition(m.offer.id, OfferState::kExpired);
       ++stats_.offers_expired_in_pipeline;
       events_.Push(OfferExpired{m.offer.id, m.offer.owner, now});
@@ -220,19 +218,16 @@ void EdmsEngine::ExpireDeadlines(TimeSlice now) {
   // metering was lost (or the owner is gone) — close the lifecycle so
   // bookkeeping cannot leak. A late metering then fails its transition and
   // is tolerated as a metering_failure, so there is exactly one terminal
-  // event per offer.
-  if (config_.execution_timeout_slices > 0) {
-    for (const auto& fact :
-         store_.FlexOffersInState(storage::FlexOfferState::kScheduled)) {
-      TimeSlice end = fact.schedule.start +
-                      static_cast<int64_t>(fact.schedule.energies_kwh.size());
-      if (end + config_.execution_timeout_slices > now) continue;
-      if (!lifecycle_.Transition(fact.id, OfferState::kExpired).ok()) continue;
-      (void)store_.TransitionFlexOffer(fact.id,
-                                       storage::FlexOfferState::kExpired);
-      ++stats_.executions_timed_out;
-      events_.Push(OfferExpired{fact.id, fact.offer.owner, now});
-    }
+  // event per offer. Only due deadlines are touched, in (deadline, id)
+  // order.
+  while (!execution_deadlines_.empty() &&
+         execution_deadlines_.begin()->first <= now) {
+    FlexOfferId id = execution_deadlines_.begin()->second;
+    execution_deadlines_.erase(execution_deadlines_.begin());
+    // Fails when the offer was executed in time: nothing left to expire.
+    if (!lifecycle_.Transition(id, OfferState::kExpired).ok()) continue;
+    ++stats_.executions_timed_out;
+    events_.Push(OfferExpired{id, *lifecycle_.OwnerOf(id), now});
   }
 }
 
@@ -259,14 +254,14 @@ Status EdmsEngine::RunGate(TimeSlice now) {
   // keep the aggregate snapshots for disaggregation.
   for (const auto& agg : ready) {
     for (const auto& m : agg.members) {
+      // Cannot fail: the member was just read from the pipeline's aggregates.
       (void)pipeline_.Remove(m.offer.id);
-      (void)store_.TransitionFlexOffer(m.offer.id,
-                                       storage::FlexOfferState::kAggregated);
       MIRABEL_RETURN_IF_ERROR(
           lifecycle_.Transition(m.offer.id, OfferState::kAggregated)
               .status());
     }
   }
+  // Update records are not needed: the claimed snapshots are in `ready`.
   (void)pipeline_.Flush();
 
   if (!config_.schedule_locally) {
@@ -285,8 +280,7 @@ Status EdmsEngine::RunGate(TimeSlice now) {
                             << agg.macro.id << " x " << config_.macro_id_lanes
                             << " lanes); expiring its members";
         for (const auto& m : agg.members) {
-          (void)store_.TransitionFlexOffer(m.offer.id,
-                                           storage::FlexOfferState::kExpired);
+          // Cannot fail: the member was claimed into kAggregated above.
           (void)lifecycle_.Transition(m.offer.id, OfferState::kExpired);
           ++stats_.offers_expired_in_pipeline;
           events_.Push(OfferExpired{m.offer.id, m.offer.owner, now});
@@ -319,8 +313,7 @@ Status EdmsEngine::ScheduleLocally(
     // waiting on a schedule that can no longer arrive.
     for (const auto& agg : macros) {
       for (const auto& m : agg.members) {
-        (void)store_.TransitionFlexOffer(m.offer.id,
-                                         storage::FlexOfferState::kExpired);
+        // Cannot fail: ScheduleClaimed errs only before assigning anything.
         (void)lifecycle_.Transition(m.offer.id, OfferState::kExpired);
         ++stats_.offers_expired_in_pipeline;
         events_.Push(OfferExpired{m.offer.id, m.offer.owner, now});
@@ -431,6 +424,7 @@ Status EdmsEngine::ScheduleClaimed(
   for (size_t s = 0; s < h; ++s) {
     stats_.imbalance_before_kwh += std::fabs(workspace.net_kwh()[s]);
   }
+  // Cannot fail: the scheduler produced run.schedule for this problem.
   (void)workspace.SetSchedule(compiled, run.schedule);
   for (size_t s = 0; s < h; ++s) {
     stats_.imbalance_after_kwh += std::fabs(workspace.net_kwh()[s]);
@@ -470,9 +464,16 @@ Status EdmsEngine::EmitMemberSchedules(
                            aggregation::Disaggregate(agg, macro_schedule));
   for (size_t i = 0; i < members.size(); ++i) {
     const ScheduledFlexOffer& schedule = members[i];
-    (void)store_.AttachSchedule(schedule);
+    // Cannot fail: the member stays kAggregated until its macro's schedule.
     (void)lifecycle_.Transition(schedule.offer_id, OfferState::kScheduled);
+    // Cannot fail: the member became kScheduled on the line above.
     (void)lifecycle_.Transition(schedule.offer_id, OfferState::kAssigned);
+    if (config_.execution_timeout_slices > 0) {
+      TimeSlice end = schedule.start +
+                      static_cast<int64_t>(schedule.energies_kwh.size());
+      execution_deadlines_.emplace(end + config_.execution_timeout_slices,
+                                   schedule.offer_id);
+    }
     ++stats_.micro_schedules_sent;
     events_.Push(
         ScheduleAssigned{agg.members[i].offer.owner, now, schedule});
@@ -482,12 +483,9 @@ Status EdmsEngine::EmitMemberSchedules(
 
 Status EdmsEngine::RecordExecution(FlexOfferId id, TimeSlice now,
                                    double energy_kwh) {
-  MIRABEL_ASSIGN_OR_RETURN(const storage::FlexOfferFact* fact,
-                           store_.FindFlexOffer(id));
-  flexoffer::ActorId owner = fact->offer.owner;
+  MIRABEL_ASSIGN_OR_RETURN(flexoffer::ActorId owner, lifecycle_.OwnerOf(id));
   MIRABEL_RETURN_IF_ERROR(
       lifecycle_.Transition(id, OfferState::kExecuted).status());
-  (void)store_.TransitionFlexOffer(id, storage::FlexOfferState::kExecuted);
   ++stats_.offers_executed;
   events_.Push(OfferExecuted{id, owner, now, energy_kwh});
   return Status::OK();

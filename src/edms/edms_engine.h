@@ -2,8 +2,10 @@
 #define MIRABEL_EDMS_EDMS_ENGINE_H_
 
 #include <memory>
+#include <set>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "aggregation/pipeline.h"
@@ -121,6 +123,11 @@ EngineStats operator+(EngineStats lhs, const EngineStats& rhs);
 /// CompleteMacroSchedule() ("the process is essentially repeated at a higher
 /// level", paper §2). All lifecycle bookkeeping runs through an explicit
 /// OfferLifecycle state machine; all side effects surface as events.
+///
+/// Storage: the OfferLifecycle (state + owner) is the engine's only
+/// per-offer record. The offer bodies, prices and schedules live with their
+/// owners — the prosumers' DataStores — and in the emitted events; the
+/// engine's own DataStore holds measurements only (RecordMeasurement()).
 ///
 /// Thread safety: the engine is single-threaded by design — every mutating
 /// call (SubmitOffers, Advance, CompleteMacroSchedule, RecordExecution,
@@ -248,9 +255,10 @@ class EdmsEngine {
   /// (a) pipeline offers whose assignment deadline or start window has
   /// passed, (b) forwarded macros whose schedule never returned from the
   /// parent level (MacroExpired + per-member OfferExpired), and (c)
-  /// assigned offers whose execution confirmation is overdue. Wind-down
-  /// phases call this directly so every admitted offer reaches a terminal
-  /// lifecycle state without opening new gates.
+  /// assigned offers whose execution confirmation is overdue, in (metering
+  /// deadline, id) order; only due offers are touched. Wind-down phases call
+  /// this directly so every admitted offer reaches a terminal lifecycle
+  /// state without opening new gates.
   void ExpireDeadlines(flexoffer::TimeSlice now);
 
   /// Delivers the schedule of a previously published (forwarded) macro
@@ -260,11 +268,14 @@ class EdmsEngine {
                                flexoffer::TimeSlice now);
 
   /// Records that the owner executed its assigned schedule (closing the
-  /// lifecycle) and meters the energy.
+  /// lifecycle) and emits OfferExecuted. NotFound for an id the engine never
+  /// admitted; FailedPrecondition for a known offer that is not kAssigned
+  /// (rejected, expired — e.g. by the execution timeout — or already
+  /// executed). Either way nothing is emitted.
   Status RecordExecution(flexoffer::FlexOfferId id, flexoffer::TimeSlice now,
                          double energy_kwh);
 
-  /// Appends a raw measurement to the store (not tied to an offer).
+  /// Appends a raw measurement to store() (not tied to an offer).
   void RecordMeasurement(flexoffer::ActorId actor, flexoffer::TimeSlice slice,
                          double energy_kwh);
 
@@ -284,6 +295,8 @@ class EdmsEngine {
 
   const EngineStats& stats() const { return stats_; }
   const OfferLifecycle& lifecycle() const { return lifecycle_; }
+  /// Measurements only: the engine writes no flex-offer facts here (offer
+  /// facts live in lifecycle() and in the prosumers' stores).
   const storage::DataStore& store() const { return store_; }
   const aggregation::AggregationPipeline& pipeline() const {
     return pipeline_;
@@ -320,6 +333,11 @@ class EdmsEngine {
   /// needed to disaggregate the schedules when they return.
   std::unordered_map<flexoffer::FlexOfferId, aggregation::AggregatedFlexOffer>
       pending_macros_;
+  /// (metering deadline, id) of assigned offers, earliest first: the
+  /// deadline is the schedule's end plus Config::execution_timeout_slices.
+  /// Empty when that timeout is 0. ExpireDeadlines() pops the due pairs.
+  std::set<std::pair<flexoffer::TimeSlice, flexoffer::FlexOfferId>>
+      execution_deadlines_;
 };
 
 }  // namespace mirabel::edms

@@ -54,9 +54,17 @@ bool TransitionAllowed(OfferState from, OfferState to) {
   return false;
 }
 
-Status OfferLifecycle::Begin(FlexOfferId id) {
-  auto [it, inserted] = states_.emplace(id, OfferState::kOffered);
-  (void)it;
+namespace {
+
+Status NoLifecycle(FlexOfferId id) {
+  return Status::NotFound("offer " + std::to_string(id) + " has no lifecycle");
+}
+
+}  // namespace
+
+Status OfferLifecycle::Begin(FlexOfferId id, flexoffer::ActorId owner) {
+  bool inserted =
+      entries_.emplace(id, Entry{OfferState::kOffered, owner}).second;
   if (!inserted) {
     return Status::AlreadyExists("offer " + std::to_string(id) +
                                  " already has a lifecycle");
@@ -66,31 +74,31 @@ Status OfferLifecycle::Begin(FlexOfferId id) {
 }
 
 Result<OfferState> OfferLifecycle::Transition(FlexOfferId id, OfferState to) {
-  auto it = states_.find(id);
-  if (it == states_.end()) {
-    return Status::NotFound("offer " + std::to_string(id) +
-                            " has no lifecycle");
-  }
-  OfferState from = it->second;
+  auto it = entries_.find(id);
+  if (it == entries_.end()) return NoLifecycle(id);
+  OfferState from = it->second.state;
   if (!TransitionAllowed(from, to)) {
     return Status::FailedPrecondition(
         "illegal lifecycle transition " + std::string(ToString(from)) +
         " -> " + std::string(ToString(to)) + " for offer " +
         std::to_string(id));
   }
-  it->second = to;
+  it->second.state = to;
   --counts_[static_cast<int>(from)];
   ++counts_[static_cast<int>(to)];
   return from;
 }
 
 Result<OfferState> OfferLifecycle::StateOf(FlexOfferId id) const {
-  auto it = states_.find(id);
-  if (it == states_.end()) {
-    return Status::NotFound("offer " + std::to_string(id) +
-                            " has no lifecycle");
-  }
-  return it->second;
+  auto it = entries_.find(id);
+  if (it == entries_.end()) return NoLifecycle(id);
+  return it->second.state;
+}
+
+Result<flexoffer::ActorId> OfferLifecycle::OwnerOf(FlexOfferId id) const {
+  auto it = entries_.find(id);
+  if (it == entries_.end()) return NoLifecycle(id);
+  return it->second.owner;
 }
 
 size_t OfferLifecycle::CountInState(OfferState state) const {

@@ -51,13 +51,15 @@ bool IsTerminal(OfferState state);
 /// terminal state — is illegal.
 bool TransitionAllowed(OfferState from, OfferState to);
 
-/// Tracks the lifecycle state of every offer an engine has seen and enforces
-/// the transition relation: illegal moves return FailedPrecondition and leave
-/// the state untouched.
+/// Tracks the lifecycle state and owner of every offer an engine has seen —
+/// the engine's only per-offer record — and enforces the transition
+/// relation: illegal moves return FailedPrecondition and leave the state
+/// untouched.
 class OfferLifecycle {
  public:
-  /// Admits `id` in kOffered; AlreadyExists for known ids.
-  Status Begin(flexoffer::FlexOfferId id);
+  /// Admits `id`, issued by `owner`, in kOffered; AlreadyExists for known
+  /// ids.
+  Status Begin(flexoffer::FlexOfferId id, flexoffer::ActorId owner);
 
   /// Moves `id` to `to`. NotFound for unknown ids, FailedPrecondition for
   /// illegal transitions. Returns the previous state on success.
@@ -66,13 +68,21 @@ class OfferLifecycle {
   /// Current state of `id`; NotFound when never admitted.
   Result<OfferState> StateOf(flexoffer::FlexOfferId id) const;
 
+  /// Owner recorded by Begin(), in every state including the terminal ones;
+  /// NotFound when never admitted.
+  Result<flexoffer::ActorId> OwnerOf(flexoffer::FlexOfferId id) const;
+
   /// Number of tracked offers currently in `state`.
   size_t CountInState(OfferState state) const;
 
-  size_t size() const { return states_.size(); }
+  size_t size() const { return entries_.size(); }
 
  private:
-  std::unordered_map<flexoffer::FlexOfferId, OfferState> states_;
+  struct Entry {
+    OfferState state;
+    flexoffer::ActorId owner;
+  };
+  std::unordered_map<flexoffer::FlexOfferId, Entry> entries_;
   size_t counts_[kNumOfferStates] = {};
 };
 

@@ -84,7 +84,8 @@ class AggregatingNode {
   AggregatingStats stats() const { return runtime_.stats(); }
   /// Per-shard state views. The shard index is explicit on purpose: on a
   /// partitioned node each store/pipeline holds only its shard's slice of
-  /// the state (route an owner with runtime().ShardOf(owner)).
+  /// the state (route an owner with runtime().ShardOf(owner)). A shard's
+  /// store holds its measurements only (see EdmsEngine::store()).
   const storage::DataStore& store(size_t shard) const {
     return runtime_.shard(shard).store();
   }

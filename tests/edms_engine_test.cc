@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -233,6 +234,153 @@ TEST(EdmsEngineTest, ForwardingModePublishesAndCompletesMacros) {
     }
   }
   EXPECT_EQ(assigned, 3);
+}
+
+/// Four offers with disjoint start windows, so whatever start the scheduler
+/// picks, the schedules end in the order 2, 3, 4, 1 — not in id order.
+std::vector<FlexOffer> StaggeredOffers() {
+  return {
+      testutil::OwnedOffer(1, 501, /*assign_before=*/24, /*earliest=*/70,
+                           /*latest=*/78, /*dur=*/4),
+      testutil::OwnedOffer(2, 502, /*assign_before=*/24, /*earliest=*/30,
+                           /*latest=*/38, /*dur=*/4),
+      testutil::OwnedOffer(3, 503, /*assign_before=*/24, /*earliest=*/44,
+                           /*latest=*/52, /*dur=*/4),
+      testutil::OwnedOffer(4, 504, /*assign_before=*/24, /*earliest=*/58,
+                           /*latest=*/66, /*dur=*/4),
+  };
+}
+
+/// Submits StaggeredOffers(), runs the first gate and returns each offer's
+/// metering deadline (schedule end + execution_timeout_slices), by id.
+std::map<flexoffer::FlexOfferId, flexoffer::TimeSlice> AssignStaggered(
+    EdmsEngine& engine) {
+  std::vector<FlexOffer> offers = StaggeredOffers();
+  auto submitted = engine.SubmitOffers(offers, 0);
+  EXPECT_TRUE(submitted.ok()) << submitted.status();
+  EXPECT_TRUE(engine.Advance(0).ok());
+  std::map<flexoffer::FlexOfferId, flexoffer::TimeSlice> deadlines;
+  for (const Event& event : engine.PollEvents()) {
+    if (const auto* e = std::get_if<ScheduleAssigned>(&event)) {
+      deadlines[e->schedule.offer_id] =
+          e->schedule.start +
+          static_cast<int64_t>(e->schedule.energies_kwh.size()) +
+          engine.config().execution_timeout_slices;
+    }
+  }
+  EXPECT_EQ(deadlines.size(), offers.size());
+  return deadlines;
+}
+
+std::vector<flexoffer::FlexOfferId> ExpiredIds(
+    const std::vector<Event>& events) {
+  std::vector<flexoffer::FlexOfferId> ids;
+  for (const Event& event : events) {
+    const auto* e = std::get_if<OfferExpired>(&event);
+    EXPECT_NE(e, nullptr) << "unexpected " << EventName(event);
+    if (e != nullptr) ids.push_back(e->offer);
+  }
+  return ids;
+}
+
+TEST(EdmsEngineTest, UnmeteredOffersTimeOutOnceInDeadlineOrder) {
+  EdmsEngine::Config cfg = DeterministicConfig();
+  cfg.execution_timeout_slices = 6;
+  EdmsEngine engine(cfg);
+  std::map<flexoffer::FlexOfferId, flexoffer::TimeSlice> deadline =
+      AssignStaggered(engine);
+  ASSERT_EQ(deadline.size(), 4u);
+  ASSERT_LT(deadline[2], deadline[3]);
+  ASSERT_LT(deadline[3], deadline[4]);
+  ASSERT_LT(deadline[4], deadline[1]);
+
+  // Offer 3 is metered in time; the others never are.
+  ASSERT_TRUE(engine.RecordExecution(3, deadline[3] - 6, 6.0).ok());
+  ASSERT_EQ(engine.PollEvents().size(), 1u);
+
+  // Nothing is due one slice before the earliest deadline.
+  engine.ExpireDeadlines(deadline[2] - 1);
+  EXPECT_TRUE(engine.PollEvents().empty());
+  EXPECT_EQ(engine.stats().executions_timed_out, 0);
+
+  // A deadline is due at its own slice, and only that offer expires.
+  engine.ExpireDeadlines(deadline[2]);
+  EXPECT_EQ(ExpiredIds(engine.PollEvents()),
+            std::vector<flexoffer::FlexOfferId>{2});
+  EXPECT_EQ(*engine.lifecycle().StateOf(2), OfferState::kExpired);
+  EXPECT_EQ(*engine.lifecycle().StateOf(4), OfferState::kAssigned);
+
+  // One late pass expires the rest in (deadline, id) order, never offer 3.
+  engine.ExpireDeadlines(deadline[1] + 10);
+  std::vector<Event> events = engine.PollEvents();
+  EXPECT_EQ(ExpiredIds(events), (std::vector<flexoffer::FlexOfferId>{4, 1}));
+  for (const Event& event : events) {
+    const auto& e = std::get<OfferExpired>(event);
+    EXPECT_EQ(e.owner, 500 + e.offer);
+    EXPECT_EQ(e.at, deadline[1] + 10);
+  }
+  EXPECT_EQ(engine.stats().executions_timed_out, 3);
+  EXPECT_EQ(*engine.lifecycle().StateOf(3), OfferState::kExecuted);
+
+  // Exactly one terminal event each: later passes and gates emit nothing.
+  engine.ExpireDeadlines(deadline[1] + 100);
+  ASSERT_TRUE(engine.Advance(deadline[1] + 200).ok());
+  EXPECT_TRUE(engine.PollEvents().empty());
+  EXPECT_EQ(engine.stats().executions_timed_out, 3);
+
+  // A late metering of a timed-out offer fails and emits nothing.
+  EXPECT_EQ(engine.RecordExecution(2, deadline[1] + 300, 6.0).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(engine.PollEvents().empty());
+  EXPECT_EQ(engine.stats().offers_executed, 1);
+}
+
+TEST(EdmsEngineTest, ZeroExecutionTimeoutDisablesTheCheck) {
+  EdmsEngine::Config cfg = DeterministicConfig();
+  cfg.execution_timeout_slices = 0;
+  EdmsEngine engine(cfg);
+  std::map<flexoffer::FlexOfferId, flexoffer::TimeSlice> deadline =
+      AssignStaggered(engine);
+  ASSERT_EQ(deadline.size(), 4u);
+
+  engine.ExpireDeadlines(deadline[1] + 1000);
+  ASSERT_TRUE(engine.Advance(deadline[1] + 1000).ok());
+  EXPECT_TRUE(engine.PollEvents().empty());
+  EXPECT_EQ(engine.stats().executions_timed_out, 0);
+  for (const auto& [id, unused] : deadline) {
+    EXPECT_EQ(*engine.lifecycle().StateOf(id), OfferState::kAssigned);
+  }
+  // Metering still closes the lifecycle however late it arrives.
+  EXPECT_TRUE(engine.RecordExecution(1, deadline[1] + 2000, 6.0).ok());
+}
+
+TEST(EdmsEngineTest, RecordExecutionErrorContract) {
+  EdmsEngine engine(DeterministicConfig());
+  // Offer 10 (empty profile) fails validation and is rejected; offer 1 is
+  // accepted but not yet scheduled (no gate has run).
+  FlexOffer invalid;
+  invalid.id = 10;
+  invalid.owner = 510;
+  std::vector<FlexOffer> offers = {invalid, ThreeOffers()[0]};
+  ASSERT_TRUE(engine.SubmitOffers(offers, 0).ok());
+  ASSERT_EQ(*engine.lifecycle().StateOf(10), OfferState::kRejected);
+  ASSERT_EQ(*engine.lifecycle().StateOf(1), OfferState::kAccepted);
+  (void)engine.PollEvents();
+
+  // An id the engine never admitted is NotFound.
+  EXPECT_EQ(engine.RecordExecution(999, 40, 1.0).code(),
+            StatusCode::kNotFound);
+  // A known offer that is not kAssigned is FailedPrecondition: rejected...
+  EXPECT_EQ(engine.RecordExecution(10, 40, 1.0).code(),
+            StatusCode::kFailedPrecondition);
+  // ...or still waiting for its schedule.
+  EXPECT_EQ(engine.RecordExecution(1, 40, 1.0).code(),
+            StatusCode::kFailedPrecondition);
+  // None of the failures emitted an event or moved a lifecycle.
+  EXPECT_TRUE(engine.PollEvents().empty());
+  EXPECT_EQ(*engine.lifecycle().StateOf(10), OfferState::kRejected);
+  EXPECT_EQ(*engine.lifecycle().StateOf(1), OfferState::kAccepted);
+  EXPECT_EQ(engine.stats().offers_executed, 0);
 }
 
 TEST(EdmsEngineTest, GateHonoursThePeriod) {

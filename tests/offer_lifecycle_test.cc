@@ -1,6 +1,7 @@
 // Full transition-table coverage of the flex-offer lifecycle state machine:
-// every legal edge succeeds, every illegal edge is FailedPrecondition, and
-// the tracked counts stay consistent.
+// every legal edge succeeds, every illegal edge is FailedPrecondition, the
+// tracked counts stay consistent, and the owner recorded at admission stays
+// readable in every state.
 #include "edms/offer_lifecycle.h"
 
 #include <gtest/gtest.h>
@@ -34,9 +35,11 @@ const std::set<std::pair<OfferState, OfferState>> kLegalEdges = {
     {OfferState::kAssigned, OfferState::kExpired},
 };
 
+constexpr flexoffer::ActorId kOwner = 501;
+
 /// Drives a fresh lifecycle instance into `state` via the happy path.
 void DriveTo(OfferLifecycle& lc, flexoffer::FlexOfferId id, OfferState state) {
-  ASSERT_TRUE(lc.Begin(id).ok());
+  ASSERT_TRUE(lc.Begin(id, kOwner).ok());
   std::vector<OfferState> path;
   switch (state) {
     case OfferState::kOffered:
@@ -118,9 +121,29 @@ TEST(OfferLifecycleTest, EveryNonTerminalStateCanExpire) {
 
 TEST(OfferLifecycleTest, BeginRejectsDuplicates) {
   OfferLifecycle lc;
-  ASSERT_TRUE(lc.Begin(7).ok());
-  Status dup = lc.Begin(7);
+  ASSERT_TRUE(lc.Begin(7, kOwner).ok());
+  Status dup = lc.Begin(7, kOwner + 1);
   EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
+  // The rejected re-admission does not overwrite the recorded owner.
+  EXPECT_EQ(*lc.OwnerOf(7), kOwner);
+}
+
+TEST(OfferLifecycleTest, BeginRecordsTheOwner) {
+  OfferLifecycle lc;
+  ASSERT_TRUE(lc.Begin(1, 501).ok());
+  ASSERT_TRUE(lc.Begin(2, 502).ok());
+  EXPECT_EQ(*lc.OwnerOf(1), 501u);
+  EXPECT_EQ(*lc.OwnerOf(2), 502u);
+}
+
+TEST(OfferLifecycleTest, OwnerSurvivesEveryStateIncludingTerminal) {
+  for (OfferState state : kAllStates) {
+    OfferLifecycle lc;
+    DriveTo(lc, 1, state);
+    Result<flexoffer::ActorId> owner = lc.OwnerOf(1);
+    ASSERT_TRUE(owner.ok()) << ToString(state);
+    EXPECT_EQ(*owner, kOwner) << ToString(state);
+  }
 }
 
 TEST(OfferLifecycleTest, UnknownOffersAreNotFound) {
@@ -128,13 +151,14 @@ TEST(OfferLifecycleTest, UnknownOffersAreNotFound) {
   EXPECT_EQ(lc.StateOf(99).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(lc.Transition(99, OfferState::kAccepted).status().code(),
             StatusCode::kNotFound);
+  EXPECT_EQ(lc.OwnerOf(99).status().code(), StatusCode::kNotFound);
 }
 
 TEST(OfferLifecycleTest, CountsTrackTransitions) {
   OfferLifecycle lc;
-  ASSERT_TRUE(lc.Begin(1).ok());
-  ASSERT_TRUE(lc.Begin(2).ok());
-  ASSERT_TRUE(lc.Begin(3).ok());
+  ASSERT_TRUE(lc.Begin(1, kOwner).ok());
+  ASSERT_TRUE(lc.Begin(2, kOwner).ok());
+  ASSERT_TRUE(lc.Begin(3, kOwner).ok());
   EXPECT_EQ(lc.CountInState(OfferState::kOffered), 3u);
   ASSERT_TRUE(lc.Transition(1, OfferState::kAccepted).ok());
   ASSERT_TRUE(lc.Transition(2, OfferState::kRejected).ok());

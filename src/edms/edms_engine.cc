@@ -390,7 +390,6 @@ Status EdmsEngine::ScheduleClaimed(
   }
   options.max_iterations = config_.scheduler_max_iterations;
   options.seed = config_.seed + static_cast<uint64_t>(now);
-  options.fast_math = config_.scheduler_fast_math;
   MIRABEL_ASSIGN_OR_RETURN(scheduling::SchedulingResult run,
                            scheduler->RunCompiled(compiled, options));
   ++stats_.scheduling_runs;

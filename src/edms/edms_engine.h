@@ -82,7 +82,7 @@ struct EngineStats {
   int64_t portfolio_wins_bnb = 0;
   /// Scheduling runs whose result was proved optimal over the start-slot
   /// search space (BranchAndBound directly, or a portfolio whose winner
-  /// proved it; a completed Exhaustive sweep counts too).
+  /// proved it).
   int64_t bnb_optimal_proven = 0;
   /// Scheduling runs that went through the robust (ensemble re-ranking)
   /// path — the configured scheduler was wrapped per Config::
@@ -169,11 +169,6 @@ class EdmsEngine {
     /// Iteration cap per scheduling run (0 = unlimited). Set this and a
     /// non-positive time budget for bit-deterministic runs.
     int scheduler_max_iterations = 0;
-    /// Forwarded to SchedulerOptions::fast_math: delta-replay EA children
-    /// and vectorized slice sweeps, 1e-9-relative (not bitwise) cost
-    /// agreement. Leave false for bit-deterministic runs; enable when gate
-    /// deadlines are tight and throughput matters more than replayability.
-    bool scheduler_fast_math = false;
     uint64_t seed = 5;
 
     /// Baseline imbalance source; null resolves to ZeroBaselineProvider.

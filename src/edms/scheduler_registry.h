@@ -27,8 +27,10 @@ class SchedulerRegistry {
  public:
   /// The process-wide registry, preloaded with the paper's algorithms plus
   /// the optimal-scheduling subsystem: "GreedySearch",
-  /// "EvolutionaryAlgorithm", "Exhaustive", "Hybrid", "BranchAndBound",
-  /// "Portfolio", "Robust".
+  /// "EvolutionaryAlgorithm", "Hybrid", "BranchAndBound", "Portfolio",
+  /// "Robust". ExhaustiveScheduler is left out: it is the optimality
+  /// oracle (optimality_study, the B&B tests construct it directly), and
+  /// from a gate it could start a 10^8-combination sweep.
   static SchedulerRegistry& Default();
 
   /// Registers `factory` under `name`; AlreadyExists on duplicates.

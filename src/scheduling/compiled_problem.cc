@@ -189,256 +189,6 @@ double SliceResidualCost(const CompiledProblem& cp, size_t s,
   return 0.0;
 }
 
-double ScheduleWorkspace::SliceCostAt(const CompiledProblem& cp, size_t s,
-                                      double residual) const {
-  return SliceResidualCost(cp, s, residual);
-}
-
-// ---------------------------------------------------------------------------
-// Fast kernel (SchedulerOptions::fast_math): vectorized slice sweeps and
-// delta-replay child evaluation. Everything below trades bit-compatibility
-// with the reference evaluator for throughput — split accumulators, FMA
-// contraction and segmented footprints all change float summation order —
-// and is reachable only through the fast_math entry points. The tolerance
-// oracle in tests/scheduling_kernel_test.cc holds it to 1e-9 relative.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// The sweep body, written with four independent accumulator chains so the
-/// compiler can keep four vector lanes (or four scalar pipes) busy instead
-/// of serializing on one float add per slice. Plain `inline` (no target
-/// attribute) on purpose: the two wrappers below instantiate it under the
-/// default and the AVX2+FMA instruction sets respectively.
-inline double ResidualSweepBody(const double* net, const double* penalty,
-                                const double* buy, const double* sell,
-                                double max_buy, double max_sell, size_t n) {
-  double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
-  size_t s = 0;
-  for (; s + 4 <= n; s += 4) {
-    c0 += SliceResidualCostBranchless(net[s + 0], penalty[s + 0], buy[s + 0],
-                                      sell[s + 0], max_buy, max_sell);
-    c1 += SliceResidualCostBranchless(net[s + 1], penalty[s + 1], buy[s + 1],
-                                      sell[s + 1], max_buy, max_sell);
-    c2 += SliceResidualCostBranchless(net[s + 2], penalty[s + 2], buy[s + 2],
-                                      sell[s + 2], max_buy, max_sell);
-    c3 += SliceResidualCostBranchless(net[s + 3], penalty[s + 3], buy[s + 3],
-                                      sell[s + 3], max_buy, max_sell);
-  }
-  double tail = 0.0;
-  for (; s < n; ++s) {
-    tail += SliceResidualCostBranchless(net[s], penalty[s], buy[s], sell[s],
-                                        max_buy, max_sell);
-  }
-  return ((c0 + c1) + (c2 + c3)) + tail;
-}
-
-double ResidualSweepDefault(const double* net, const double* penalty,
-                            const double* buy, const double* sell,
-                            double max_buy, double max_sell, size_t n) {
-  return ResidualSweepBody(net, penalty, buy, sell, max_buy, max_sell, n);
-}
-
-#if defined(__x86_64__) || defined(__i386__)
-// Same body recompiled for AVX2+FMA: GCC/Clang inline the default-target
-// body into the wider target (caller features are a superset) and
-// auto-vectorize the four accumulator chains into ymm lanes.
-__attribute__((target("avx2,fma"))) double ResidualSweepAvx2(
-    const double* net, const double* penalty, const double* buy,
-    const double* sell, double max_buy, double max_sell, size_t n) {
-  return ResidualSweepBody(net, penalty, buy, sell, max_buy, max_sell, n);
-}
-
-bool HostHasAvx2Fma() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-}
-#endif
-
-}  // namespace
-
-bool FastKernelUsesAvx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  static const bool supported = HostHasAvx2Fma();
-  return supported;
-#else
-  return false;
-#endif
-}
-
-double FastResidualSweep(const CompiledProblem& cp, const double* net,
-                         size_t n) {
-#if defined(__x86_64__) || defined(__i386__)
-  if (FastKernelUsesAvx2()) {
-    return ResidualSweepAvx2(net, cp.penalty_eur.data(),
-                             cp.buy_price_eur.data(), cp.sell_price_eur.data(),
-                             cp.max_buy_kwh, cp.max_sell_kwh, n);
-  }
-#endif
-  return ResidualSweepDefault(net, cp.penalty_eur.data(),
-                              cp.buy_price_eur.data(), cp.sell_price_eur.data(),
-                              cp.max_buy_kwh, cp.max_sell_kwh, n);
-}
-
-Result<double> ScheduleWorkspace::EvaluateIntoFast(const CompiledProblem& cp,
-                                                   const Schedule& schedule) {
-  // Validation matches EvaluateInto exactly (same checks, same Status
-  // codes): fast_math relaxes float summation, never feasibility.
-  if (schedule.assignments.size() != cp.num_offers) {
-    return Status::InvalidArgument("assignment count mismatch");
-  }
-  for (size_t i = 0; i < cp.num_offers; ++i) {
-    const OfferAssignment& a = schedule.assignments[i];
-    if (a.start < cp.earliest_start[i] || a.start > cp.latest_start[i]) {
-      return Status::OutOfRange("offer " + std::to_string(i) +
-                                " start outside window");
-    }
-    if (a.fill < 0.0 || a.fill > 1.0) {
-      return Status::OutOfRange("offer " + std::to_string(i) +
-                                " fill outside [0, 1]");
-    }
-    starts_[i] = a.start;
-    fills_[i] = a.fill;
-  }
-
-  // Net-load accumulation with the activation reduction split out of the
-  // store loop: the `net[j] +=` loop carries no serial dependency and
-  // vectorizes, and the activation chain is two independent accumulators
-  // per offer folded into one add per offer (instead of one per band).
-  std::copy(cp.baseline_kwh.begin(), cp.baseline_kwh.end(), net_kwh_.begin());
-  double activation = 0.0;
-  for (size_t i = 0; i < cp.num_offers; ++i) {
-    const double* mi = cp.min_kwh.data() + cp.profile_offset[i];
-    const double* fl = cp.flex_kwh.data() + cp.profile_offset[i];
-    double* net = net_kwh_.data() + (starts_[i] - cp.horizon_start);
-    const double fill = fills_[i];
-    const double unit = cp.unit_price_eur[i];
-    const int64_t dur = cp.duration[i];
-    double a0 = 0.0, a1 = 0.0;
-    int64_t j = 0;
-    for (; j + 2 <= dur; j += 2) {
-      double e0 = mi[j] + fill * fl[j];
-      double e1 = mi[j + 1] + fill * fl[j + 1];
-      net[j] += e0;
-      net[j + 1] += e1;
-      a0 += std::fabs(e0);
-      a1 += std::fabs(e1);
-    }
-    if (j < dur) {
-      double e = mi[j] + fill * fl[j];
-      net[j] += e;
-      a0 += std::fabs(e);
-    }
-    activation += unit * (a0 + a1);
-  }
-  flex_activation_eur_ = activation;
-
-  costs_dirty_ = true;
-  return activation +
-         FastResidualSweep(cp, net_kwh_.data(), net_kwh_.size());
-}
-
-double ScheduleWorkspace::ApplyMoveDelta(const CompiledProblem& cp, size_t i,
-                                         TimeSlice start, double fill,
-                                         DeltaTrail* trail) {
-  // The base sync (SetSchedule / SetAssignmentsUnchecked) left the caches
-  // fresh; replayed moves keep slice_cost_eur_ current themselves.
-  const double* mi = cp.min_kwh.data() + cp.profile_offset[i];
-  const double* fl = cp.flex_kwh.data() + cp.profile_offset[i];
-  const int64_t dur = cp.duration[i];
-  const TimeSlice cur_start = starts_[i];
-  const double cur_fill = fills_[i];
-  trail->moves_.push_back({i, cur_start, cur_fill, flex_activation_eur_});
-
-  double delta = 0.0;
-  auto touch = [&](TimeSlice t, double net_delta) {
-    const size_t s = static_cast<size_t>(t - cp.horizon_start);
-    const double old_cost = slice_cost_eur_[s];
-    trail->slices_.push_back({s, net_kwh_[s], old_cost});
-    const double after = net_kwh_[s] + net_delta;
-    net_kwh_[s] = after;
-    const double new_cost = SliceResidualCostFast(cp, s, after);
-    slice_cost_eur_[s] = new_cost;
-    delta += new_cost - old_cost;
-  };
-
-  // Old-only / overlap / new-only segmentation of the two footprints; for
-  // disjoint footprints the overlap segment is empty and the other two are
-  // the full footprints (no per-slice in-range branches either way).
-  const TimeSlice lo = std::min(cur_start, start);
-  const TimeSlice hi = std::max(cur_start, start);
-  const TimeSlice overlap_begin = hi;
-  const TimeSlice overlap_end = std::min(lo + dur, hi + dur);
-  const bool old_first = cur_start <= start;
-  for (TimeSlice t = lo; t < std::min(hi, lo + dur); ++t) {
-    const int64_t j = t - (old_first ? cur_start : start);
-    const double e = mi[j] + (old_first ? cur_fill : fill) * fl[j];
-    touch(t, old_first ? -e : e);
-  }
-  for (TimeSlice t = overlap_begin; t < overlap_end; ++t) {
-    const int64_t j_cur = t - cur_start;
-    const int64_t j_new = t - start;
-    const double e_cur = mi[j_cur] + cur_fill * fl[j_cur];
-    const double e_new = mi[j_new] + fill * fl[j_new];
-    touch(t, e_new - e_cur);
-  }
-  for (TimeSlice t = std::max(hi, lo + dur); t < hi + dur; ++t) {
-    const int64_t j = t - (old_first ? start : cur_start);
-    const double e = mi[j] + (old_first ? fill : cur_fill) * fl[j];
-    touch(t, old_first ? e : -e);
-  }
-
-  // Activation delta over the profile, split accumulators.
-  const double unit = cp.unit_price_eur[i];
-  double a0 = 0.0, a1 = 0.0;
-  int64_t j = 0;
-  for (; j + 2 <= dur; j += 2) {
-    a0 += std::fabs(mi[j] + fill * fl[j]) -
-          std::fabs(mi[j] + cur_fill * fl[j]);
-    a1 += std::fabs(mi[j + 1] + fill * fl[j + 1]) -
-          std::fabs(mi[j + 1] + cur_fill * fl[j + 1]);
-  }
-  if (j < dur) {
-    a0 += std::fabs(mi[j] + fill * fl[j]) -
-          std::fabs(mi[j] + cur_fill * fl[j]);
-  }
-  const double act_delta = unit * (a0 + a1);
-  flex_activation_eur_ += act_delta;
-  starts_[i] = start;
-  fills_[i] = fill;
-  return delta + act_delta;
-}
-
-void ScheduleWorkspace::RollbackDelta(DeltaTrail* trail) {
-  // Reverse replay of the value snapshots: the first save of a repeatedly
-  // touched slice / gene is restored last, so the workspace lands exactly on
-  // its pre-diff bits regardless of how many moves touched it.
-  for (auto it = trail->slices_.rbegin(); it != trail->slices_.rend(); ++it) {
-    net_kwh_[it->slice] = it->net_kwh;
-    slice_cost_eur_[it->slice] = it->cost_eur;
-  }
-  for (auto it = trail->moves_.rbegin(); it != trail->moves_.rend(); ++it) {
-    starts_[it->offer] = it->start;
-    fills_[it->offer] = it->fill;
-    flex_activation_eur_ = it->activation_eur;
-  }
-  trail->slices_.clear();
-  trail->moves_.clear();
-}
-
-double ScheduleWorkspace::CachedCostTotal(const CompiledProblem& cp) const {
-  EnsureSliceCosts(cp);
-  double c0 = 0.0, c1 = 0.0;
-  size_t s = 0;
-  const size_t n = slice_cost_eur_.size();
-  for (; s + 2 <= n; s += 2) {
-    c0 += slice_cost_eur_[s];
-    c1 += slice_cost_eur_[s + 1];
-  }
-  if (s < n) c0 += slice_cost_eur_[s];
-  return flex_activation_eur_ + (c0 + c1);
-}
-
 void ScheduleWorkspace::RefreshSliceCost(const CompiledProblem& cp,
                                          size_t s) const {
   const double r = net_kwh_[s];
@@ -523,26 +273,45 @@ double ScheduleWorkspace::TryMoveWithEnergies(
   const TimeSlice cur_start = starts_[i];
   double delta = 0.0;
 
-  // Per-slice cost deltas over the union of the two footprints. `before` is
-  // charged from the slice-cost cache; `after` is the closed-form market
-  // response to the shifted residual.
-  const TimeSlice lo = std::min(cur_start, start);
-  const TimeSlice hi = std::max(cur_start, start) + dur;
-  for (TimeSlice t = lo; t < hi; ++t) {
-    size_t s = static_cast<size_t>(t - cp.horizon_start);
-    double before = net_kwh_[s];
-    double after = before;
-    int64_t j_cur = t - cur_start;
-    if (j_cur >= 0 && j_cur < dur) {
-      after -= e_cur[static_cast<size_t>(j_cur)];
+  // Per-slice cost deltas, charged in ascending slice order into the one
+  // accumulator. The current cost comes from the slice-cost cache; `after`
+  // is the shifted residual, priced by the closed-form market response.
+  auto charge = [&](TimeSlice t, double after) {
+    const size_t s = static_cast<size_t>(t - cp.horizon_start);
+    if (after != net_kwh_[s]) {
+      delta += SliceResidualCost(cp, s, after) - CachedSliceCost(s);
     }
-    int64_t j_new = t - start;
-    if (j_new >= 0 && j_new < dur) {
-      after += e_new[static_cast<size_t>(j_new)];
+  };
+  auto net = [&](TimeSlice t) {
+    return net_kwh_[static_cast<size_t>(t - cp.horizon_start)];
+  };
+  auto cur = [&](TimeSlice t) {
+    return e_cur[static_cast<size_t>(t - cur_start)];
+  };
+  auto cand = [&](TimeSlice t) {
+    return e_new[static_cast<size_t>(t - start)];
+  };
+  auto old_only = [&](TimeSlice from, TimeSlice to) {
+    for (TimeSlice t = from; t < to; ++t) charge(t, net(t) - cur(t));
+  };
+  auto new_only = [&](TimeSlice from, TimeSlice to) {
+    for (TimeSlice t = from; t < to; ++t) charge(t, net(t) + cand(t));
+  };
+  // Remove, then add: net + (cand - cur) would round differently.
+  auto overlap = [&](TimeSlice from, TimeSlice to) {
+    for (TimeSlice t = from; t < to; ++t) {
+      charge(t, (net(t) - cur(t)) + cand(t));
     }
-    if (after != before) {
-      delta += SliceCostAt(cp, s, after) - CachedSliceCost(s);
-    }
+  };
+  // The gap between disjoint footprints keeps its residual; it is skipped.
+  if (cur_start <= start) {
+    old_only(cur_start, std::min(start, cur_start + dur));
+    overlap(start, cur_start + dur);
+    new_only(std::max(start, cur_start + dur), start + dur);
+  } else {
+    new_only(start, std::min(cur_start, start + dur));
+    overlap(cur_start, start + dur);
+    old_only(std::max(cur_start, start + dur), cur_start + dur);
   }
 
   // Activation-cost delta, term by term in profile order (kept as a per-slice
@@ -554,58 +323,6 @@ double ScheduleWorkspace::TryMoveWithEnergies(
                      std::fabs(e_cur[static_cast<size_t>(j)]));
   }
   return delta;
-}
-
-double ScheduleWorkspace::TryMoveWithEnergiesFast(
-    const CompiledProblem& cp, size_t i, TimeSlice start,
-    std::span<const double> e_cur, std::span<const double> e_new) const {
-  EnsureSliceCosts(cp);
-  const int64_t dur = cp.duration[i];
-  const TimeSlice cur_start = starts_[i];
-
-  // Probe the same slices TryMoveWithEnergies charges, but segmented into
-  // old-only / overlap / new-only runs (no per-slice in-range branches, and
-  // for far moves the gap between disjoint footprints is never walked) over
-  // the branchless slice cost, with split accumulators.
-  double d0 = 0.0, d1 = 0.0;
-  auto probe = [&](TimeSlice t, double net_delta, double* acc) {
-    const size_t s = static_cast<size_t>(t - cp.horizon_start);
-    const double after = net_kwh_[s] + net_delta;
-    *acc += SliceResidualCostFast(cp, s, after) - slice_cost_eur_[s];
-  };
-  const TimeSlice lo = std::min(cur_start, start);
-  const TimeSlice hi = std::max(cur_start, start);
-  const bool old_first = cur_start <= start;
-  const std::span<const double>& e_lead = old_first ? e_cur : e_new;
-  const std::span<const double>& e_tail = old_first ? e_new : e_cur;
-  const double lead_sign = old_first ? -1.0 : 1.0;
-  for (TimeSlice t = lo; t < std::min(hi, lo + dur); ++t) {
-    probe(t, lead_sign * e_lead[static_cast<size_t>(t - lo)], &d0);
-  }
-  for (TimeSlice t = hi; t < lo + dur; ++t) {
-    const double nd = e_new[static_cast<size_t>(t - start)] -
-                      e_cur[static_cast<size_t>(t - cur_start)];
-    if (nd != 0.0) probe(t, nd, &d1);
-  }
-  for (TimeSlice t = std::max(hi, lo + dur); t < hi + dur; ++t) {
-    probe(t, -lead_sign * e_tail[static_cast<size_t>(t - hi)], &d0);
-  }
-
-  // Activation delta, split accumulators over the profile.
-  const double unit = cp.unit_price_eur[i];
-  double a0 = 0.0, a1 = 0.0;
-  int64_t j = 0;
-  for (; j + 2 <= dur; j += 2) {
-    a0 += std::fabs(e_new[static_cast<size_t>(j)]) -
-          std::fabs(e_cur[static_cast<size_t>(j)]);
-    a1 += std::fabs(e_new[static_cast<size_t>(j + 1)]) -
-          std::fabs(e_cur[static_cast<size_t>(j + 1)]);
-  }
-  if (j < dur) {
-    a0 += std::fabs(e_new[static_cast<size_t>(j)]) -
-          std::fabs(e_cur[static_cast<size_t>(j)]);
-  }
-  return (d0 + d1) + unit * (a0 + a1);
 }
 
 void ScheduleWorkspace::ApplyMove(const CompiledProblem& cp, size_t i,

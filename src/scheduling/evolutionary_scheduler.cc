@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "common/math_util.h"
 #include "common/rng.h"
@@ -65,61 +64,6 @@ Result<SchedulingResult> EvolutionaryScheduler::RunCompiled(
     return result;
   }
 
-  const bool fast = options.fast_math;
-  auto evaluate = [&](const Schedule& s) -> Result<double> {
-    return fast ? ws.EvaluateIntoFast(cp, s) : ws.EvaluateInto(cp, s);
-  };
-
-  // fast_math: children are evaluated as diffs against the pooled workspace,
-  // which is synced once per generation to the generation's best individual.
-  // A child generated by crossover over converging parents shares most genes
-  // with that base, so per-child work scales with the touched slices of the
-  // differing genes instead of the whole horizon. The value trail restores
-  // the base bit-exactly after every child.
-  //
-  // Replay only pays off while the diff is small: every touched slice costs
-  // ~4x a streamed slice (value snapshot + scattered access + rollback), so
-  // an early-generation child differing in most genes would replay *slower*
-  // than a full pass. The scan below therefore counts the diff's profile
-  // slices first and falls back to a full EvaluateIntoFast into a second
-  // pooled workspace (leaving the base workspace untouched) when the replay
-  // estimate exceeds the streaming cost of the full pass.
-  ScheduleWorkspace::DeltaTrail trail;
-  std::optional<ScheduleWorkspace> child_ws;
-  std::vector<size_t> diff_genes;
-  double base_cost = 0.0;
-  if (fast) {
-    trail.Reserve(cp);
-    child_ws.emplace(cp);
-    diff_genes.reserve(cp.num_offers);
-  }
-  // Streaming work of one full pass: horizon sweep + every profile slice.
-  const double full_pass_work =
-      static_cast<double>(cp.penalty_eur.size() + cp.min_kwh.size());
-  auto evaluate_child_fast = [&](const Schedule& s) -> Result<double> {
-    diff_genes.clear();
-    int64_t touched = 0;
-    for (size_t g = 0; g < cp.num_offers; ++g) {
-      const OfferAssignment& a = s.assignments[g];
-      if (a.start != ws.start(g) || a.fill != ws.fill(g)) {
-        diff_genes.push_back(g);
-        touched += cp.duration[g];
-      }
-    }
-    // ~2*touched slice updates (old + new footprint), ~2x that again for
-    // rollback, ~2x cost per update vs streaming -> 8x.
-    if (8.0 * static_cast<double>(touched) > full_pass_work) {
-      return child_ws->EvaluateIntoFast(cp, s);
-    }
-    double cost = base_cost;
-    for (size_t g : diff_genes) {
-      cost += ws.ApplyMoveDelta(cp, g, s.assignments[g].start,
-                                s.assignments[g].fill, &trail);
-    }
-    ws.RollbackDelta(&trail);
-    return cost;
-  };
-
   // Initial population: random schedules plus the all-earliest baseline.
   std::vector<Individual> population;
   population.reserve(static_cast<size_t>(config_.population_size));
@@ -129,13 +73,14 @@ Result<SchedulingResult> EvolutionaryScheduler::RunCompiled(
     for (size_t i = 0; i < cp.num_offers; ++i) {
       baseline.schedule.assignments.push_back({cp.earliest_start[i], 1.0});
     }
-    MIRABEL_ASSIGN_OR_RETURN(baseline.cost, evaluate(baseline.schedule));
+    MIRABEL_ASSIGN_OR_RETURN(baseline.cost,
+                             ws.EvaluateInto(cp, baseline.schedule));
     population.push_back(std::move(baseline));
   }
   while (population.size() < static_cast<size_t>(config_.population_size)) {
     Individual ind;
     ind.schedule = RandomSchedule(cp, &rng);
-    MIRABEL_ASSIGN_OR_RETURN(ind.cost, evaluate(ind.schedule));
+    MIRABEL_ASSIGN_OR_RETURN(ind.cost, ws.EvaluateInto(cp, ind.schedule));
     population.push_back(std::move(ind));
   }
 
@@ -188,13 +133,6 @@ Result<SchedulingResult> EvolutionaryScheduler::RunCompiled(
     for (int e = 0; e < config_.elites; ++e) {
       next[static_cast<size_t>(e)] = population[static_cast<size_t>(e)];
     }
-    if (fast) {
-      // Sync the pooled workspace to this generation's base (its best
-      // individual when elitism sorted one to the front) and cache the base
-      // cost the child deltas accumulate from.
-      MIRABEL_RETURN_IF_ERROR(ws.SetSchedule(cp, population[0].schedule));
-      base_cost = ws.CachedCostTotal(cp);
-    }
 
     for (size_t slot = static_cast<size_t>(config_.elites);
          slot < population.size(); ++slot) {
@@ -228,12 +166,8 @@ Result<SchedulingResult> EvolutionaryScheduler::RunCompiled(
                        0.0, 1.0);
       }
 
-      if (fast) {
-        MIRABEL_ASSIGN_OR_RETURN(child.cost,
-                                 evaluate_child_fast(child.schedule));
-      } else {
-        MIRABEL_ASSIGN_OR_RETURN(child.cost, evaluate(child.schedule));
-      }
+      MIRABEL_ASSIGN_OR_RETURN(child.cost,
+                               ws.EvaluateInto(cp, child.schedule));
     }
 
     std::swap(population, next);

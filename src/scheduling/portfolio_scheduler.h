@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,14 +45,6 @@ class PortfolioScheduler : public Scheduler {
     /// Fresh scheduler per run (members race concurrently; scheduler
     /// instances are not required to be thread-safe).
     std::function<std::unique_ptr<Scheduler>()> factory;
-    /// Per-member override of SchedulerOptions::fast_math; unset inherits
-    /// the race-wide flag. The default portfolio (Config::members empty)
-    /// under a fast_math race runs its anytime members (greedy, EA, hybrid)
-    /// fast and pins BranchAndBound exact — its warm start feeds the
-    /// incumbent bound, which must stay on the kernel the bound proof is
-    /// against. With fast_math off everything stays exact, bit-identical to
-    /// the pre-fast-kernel portfolio.
-    std::optional<bool> fast_math;
   };
 
   struct Config {

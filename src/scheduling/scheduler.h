@@ -13,6 +13,8 @@ namespace mirabel::scheduling {
 
 /// Budget of one scheduling run. The metaheuristics are anytime algorithms:
 /// they keep the best schedule found so far and stop on budget exhaustion.
+/// Every scheduler runs on the one bit-exact kernel (compiled_problem.h), so
+/// a fixed seed under an iteration cap reproduces a run bit for bit.
 struct SchedulerOptions {
   /// Wall-clock budget in seconds (<= 0: unlimited; supply max_iterations).
   double time_budget_s = 1.0;
@@ -20,19 +22,6 @@ struct SchedulerOptions {
   /// generations). <= 0: unlimited.
   int max_iterations = 0;
   uint64_t seed = 1;
-  /// Opt into the fast kernel: delta-replay EA child evaluation and the
-  /// vectorized (split-accumulator, AVX2-dispatched) slice sweeps. Fast-mode
-  /// costs agree with the default bit-exact kernel within 1e-9 relative —
-  /// never bitwise, because float summation order changes — so the anytime
-  /// schedulers may take different (equally feasible) search paths wherever
-  /// two candidates' costs differ by less than the float noise. Throughput
-  /// converts directly into schedule quality per budget, so an engine that
-  /// does not require bit-reproducibility should enable this. Exact-by-
-  /// construction schedulers (Exhaustive, BranchAndBound — their bound
-  /// soundness is proven against the exact kernel) ignore the flag; the
-  /// final SchedulingResult::cost is recomputed on the exact path in every
-  /// scheduler regardless.
-  bool fast_math = false;
 };
 
 /// One point of the cost-over-time convergence trace (Fig. 6 plots cost in

@@ -141,7 +141,7 @@ TEST(SchedulerFactoryTest, UnknownNameIsNotFound) {
 TEST(SchedulerFactoryTest, DefaultRegistryListsThePaperAlgorithms) {
   auto names = edms::SchedulerRegistry::Default().Names();
   EXPECT_EQ(names, (std::vector<std::string>{
-                       "BranchAndBound", "EvolutionaryAlgorithm", "Exhaustive",
+                       "BranchAndBound", "EvolutionaryAlgorithm",
                        "GreedySearch", "Hybrid", "Portfolio", "Robust"}));
   for (const std::string& name : names) {
     auto created = edms::SchedulerRegistry::Default().Create(name);

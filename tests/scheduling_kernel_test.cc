@@ -10,7 +10,8 @@
 //     here verbatim over ReferenceCostEvaluator) for fixed seeds under
 //     max_iterations budgets.
 //  3. The steady-state evaluate / TryMove / ApplyMove loop performs zero
-//     heap allocations, asserted with a counting global operator new.
+//     heap allocations, and the EA's allocations do not grow with its
+//     generation count, asserted with a counting global operator new.
 #include "scheduling/compiled_problem.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <cstdlib>
 #include <new>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/math_util.h"
@@ -225,6 +227,61 @@ TEST(SchedulingKernelPropertyTest, RejectsInfeasibleLikeTheReference) {
   bad.assignments[0].fill = 0.5;
   bad.assignments[0].start = p.offers[0].latest_start + 1;
   EXPECT_EQ(ws.SetSchedule(cp, bad).code(), StatusCode::kOutOfRange);
+}
+
+TEST(SchedulingKernelPropertyTest, ProbeMatchesReferenceBitwiseOnEveryStart) {
+  // The segmented probe (old-only / overlap / new-only runs, gap skipped)
+  // against the reference's whole-union walk: every start of every offer
+  // at fills 0, 0.5 and 1, from a random incumbent. The sweep covers
+  // footprints disjoint on either side, overlapping moves and fill-only
+  // moves at the current start; the counts below pin that coverage.
+  Rng rng(313);
+  int disjoint_before = 0, disjoint_after = 0, overlapping = 0, same_start = 0;
+  for (int it = 0; it < 80; ++it) {
+    SchedulingProblem p = MakeScenario(RandomScenarioConfig(&rng, 4000 + it));
+    CompiledProblem cp(p);
+    ScheduleWorkspace ws(cp);
+    Schedule incumbent = RandomScheduleFor(p, &rng);
+    ASSERT_TRUE(ws.SetSchedule(cp, incumbent).ok());
+    ReferenceCostEvaluator ref(p);
+    ASSERT_TRUE(ref.SetSchedule(incumbent).ok());
+
+    std::vector<double> e_cur(static_cast<size_t>(cp.max_duration));
+    std::vector<double> e_new(static_cast<size_t>(cp.max_duration));
+    for (size_t i = 0; i < cp.num_offers; ++i) {
+      const int64_t dur = cp.duration[i];
+      const TimeSlice cur_start = ws.start(i);
+      ws.ComputeEnergies(cp, i, ws.fill(i), e_cur);
+      std::span<const double> cur{e_cur.data(), static_cast<size_t>(dur)};
+      for (double fill : {0.0, 0.5, 1.0}) {
+        ws.ComputeEnergies(cp, i, fill, e_new);
+        std::span<const double> cand{e_new.data(), static_cast<size_t>(dur)};
+        for (TimeSlice start = cp.earliest_start[i];
+             start <= cp.latest_start[i]; ++start) {
+          const double kernel_delta =
+              ws.TryMoveWithEnergies(cp, i, start, cur, cand);
+          auto ref_delta = ref.TryMove(i, {start, fill});
+          ASSERT_TRUE(ref_delta.ok());
+          ASSERT_EQ(kernel_delta, *ref_delta)
+              << "problem " << it << " offer " << i << " start " << start
+              << " fill " << fill;
+          if (start == cur_start) {
+            ++same_start;
+          } else if (start + dur <= cur_start) {
+            ++disjoint_before;
+          } else if (cur_start + dur <= start) {
+            ++disjoint_after;
+          } else {
+            ++overlapping;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(disjoint_before, 0);
+  EXPECT_GT(disjoint_after, 0);
+  EXPECT_GT(overlapping, 0);
+  EXPECT_GT(same_start, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -728,306 +785,28 @@ TEST(SchedulingKernelAllocationTest, SteadyStateLoopDoesNotAllocate) {
   EXPECT_TRUE(std::isfinite(sink));
 }
 
-// ---------------------------------------------------------------------------
-// Property 4 (fast_math): the fast kernel is a tolerance-mode twin of the
-// exact kernel — totals and probe deltas within 1e-9 relative, feasibility
-// decisions bitwise identical — and delta replay + rollback restore the
-// workspace bit-exactly.
-// ---------------------------------------------------------------------------
-
-TEST(FastKernelToleranceTest, FastEvaluateMatchesExactWithinTolerance) {
-  Rng rng(171);
-  for (int it = 0; it < 120; ++it) {
-    SchedulingProblem p = MakeScenario(RandomScenarioConfig(&rng, 9000 + it));
-    ASSERT_TRUE(p.Validate().ok());
-    CompiledProblem cp(p);
-    ScheduleWorkspace exact(cp);
-    ScheduleWorkspace fast(cp);
-
-    for (int e = 0; e < 4; ++e) {
-      Schedule s = RandomScheduleFor(p, &rng);
-      auto exact_total = exact.EvaluateInto(cp, s);
-      auto fast_total = fast.EvaluateIntoFast(cp, s);
-      ASSERT_TRUE(exact_total.ok());
-      ASSERT_TRUE(fast_total.ok());
-      EXPECT_NEAR(*fast_total, *exact_total, RelTol(*exact_total));
-      EXPECT_NEAR(*fast_total, NaiveTotalCost(p, s), RelTol(*exact_total));
-      // The replaced state (assignments, net loads) is bitwise identical —
-      // only the cost summation differs between the two evaluators.
-      for (size_t i = 0; i < cp.num_offers; ++i) {
-        ASSERT_EQ(fast.start(i), exact.start(i));
-        ASSERT_EQ(fast.fill(i), exact.fill(i));
-      }
-      for (size_t sl = 0; sl < exact.net_kwh().size(); ++sl) {
-        ASSERT_EQ(fast.net_kwh()[sl], exact.net_kwh()[sl]) << "slice " << sl;
-      }
-    }
-  }
-}
-
-TEST(FastKernelToleranceTest, FastEvaluateRejectsExactlyLikeExact) {
-  ScenarioConfig cfg;
-  cfg.num_offers = 5;
-  cfg.seed = 9;
-  SchedulingProblem p = MakeScenario(cfg);
-  CompiledProblem cp(p);
-  ScheduleWorkspace ws(cp);
-
-  Schedule bad;
-  EXPECT_EQ(ws.EvaluateIntoFast(cp, bad).status().code(),
-            StatusCode::kInvalidArgument);
-  ws.ExportSchedule(&bad);
-  bad.assignments[0].fill = 1.5;
-  EXPECT_EQ(ws.EvaluateIntoFast(cp, bad).status().code(),
-            StatusCode::kOutOfRange);
-  bad.assignments[0].fill = 0.5;
-  bad.assignments[0].start = p.offers[0].latest_start + 1;
-  EXPECT_EQ(ws.EvaluateIntoFast(cp, bad).status().code(),
-            StatusCode::kOutOfRange);
-}
-
-TEST(FastKernelToleranceTest, FastProbeMatchesExactProbeWithinTolerance) {
-  Rng rng(313);
-  for (int it = 0; it < 80; ++it) {
-    SchedulingProblem p = MakeScenario(RandomScenarioConfig(&rng, 4000 + it));
-    CompiledProblem cp(p);
-    ScheduleWorkspace ws(cp);
-    ASSERT_TRUE(ws.SetSchedule(cp, RandomScheduleFor(p, &rng)).ok());
-
-    std::vector<double> e_cur(static_cast<size_t>(cp.max_duration));
-    std::vector<double> e_new(static_cast<size_t>(cp.max_duration));
-    for (int probe = 0; probe < 16 && !p.offers.empty(); ++probe) {
-      size_t i = rng.Index(p.offers.size());
-      OfferAssignment cand = RandomAssignment(p.offers[i], &rng);
-      const size_t dur = static_cast<size_t>(cp.duration[i]);
-      ws.ComputeEnergies(cp, i, ws.fill(i), e_cur);
-      ws.ComputeEnergies(cp, i, cand.fill, e_new);
-      std::span<const double> cur{e_cur.data(), dur};
-      std::span<const double> cand_e{e_new.data(), dur};
-      double exact_delta = ws.TryMoveWithEnergies(cp, i, cand.start, cur,
-                                                  cand_e);
-      double fast_delta =
-          ws.TryMoveWithEnergiesFast(cp, i, cand.start, cur, cand_e);
-      // Deltas are differences of similar-magnitude totals, so the
-      // tolerance is anchored on the schedule cost, not the delta.
-      EXPECT_NEAR(fast_delta, exact_delta, RelTol(ws.Cost(cp).total()))
-          << "offer " << i << " probe " << probe;
-    }
-  }
-}
-
-TEST(FastKernelDeltaReplayTest, ReplayMatchesFullEvaluateAndRollsBackBitwise) {
-  Rng rng(303);
-  for (int it = 0; it < 60; ++it) {
-    SchedulingProblem p = MakeScenario(RandomScenarioConfig(&rng, 7000 + it));
-    CompiledProblem cp(p);
-    ScheduleWorkspace ws(cp);
-    ScheduleWorkspace scratch(cp);
-    ScheduleWorkspace::DeltaTrail trail;
-    trail.Reserve(cp);
-
-    Schedule base = RandomScheduleFor(p, &rng);
-    ASSERT_TRUE(ws.SetSchedule(cp, base).ok());
-    const double base_cost = ws.CachedCostTotal(cp);
-    EXPECT_NEAR(base_cost, ws.Cost(cp).total(), RelTol(base_cost));
-    const double cost_before = ws.Cost(cp).total();
-    const std::vector<double> net_before = ws.net_kwh();
-
-    for (int c = 0; c < 8; ++c) {
-      // Child diff: mutate a random subset of genes (biased small, like a
-      // converged EA generation).
-      Schedule child = base;
-      const size_t mutations = 1 + rng.Index(std::max<size_t>(
-                                       1, p.offers.size() / 2));
-      for (size_t m = 0; m < mutations; ++m) {
-        size_t g = rng.Index(p.offers.size());
-        child.assignments[g] = RandomAssignment(p.offers[g], &rng);
-      }
-
-      double replayed = base_cost;
-      for (size_t g = 0; g < cp.num_offers; ++g) {
-        const OfferAssignment& a = child.assignments[g];
-        if (a.start != ws.start(g) || a.fill != ws.fill(g)) {
-          replayed += ws.ApplyMoveDelta(cp, g, a.start, a.fill, &trail);
-        }
-      }
-      ws.RollbackDelta(&trail);
-      ASSERT_TRUE(trail.empty());
-
-      auto full = scratch.EvaluateIntoFast(cp, child);
-      ASSERT_TRUE(full.ok());
-      EXPECT_NEAR(replayed, *full, RelTol(*full));
-      EXPECT_NEAR(replayed, NaiveTotalCost(p, child), RelTol(*full));
-
-      // Rollback restored the base bit-exactly: the value trail makes the
-      // restore path-independent of the floating-point route the replay
-      // took (the BnbBound trick).
-      for (size_t g = 0; g < cp.num_offers; ++g) {
-        ASSERT_EQ(ws.start(g), base.assignments[g].start) << "gene " << g;
-        ASSERT_EQ(ws.fill(g), base.assignments[g].fill) << "gene " << g;
-      }
-      for (size_t s = 0; s < net_before.size(); ++s) {
-        ASSERT_EQ(ws.net_kwh()[s], net_before[s]) << "slice " << s;
-      }
-      ASSERT_EQ(ws.Cost(cp).total(), cost_before);
-      ASSERT_EQ(ws.CachedCostTotal(cp), base_cost);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Property 5 (fast_math): EA equivalence. On a problem whose costs are all
-// dyadic rationals (every sum exact in any order), the fast path's only
-// difference — float summation order — vanishes, so the fast EA must be
-// bit-identical to the exact EA: same RNG draws, same selections, same
-// generations. This pins the delta-replay machinery to "changes float
-// noise, nothing else".
-// ---------------------------------------------------------------------------
-
-SchedulingProblem DyadicProblem() {
-  SchedulingProblem p;
-  p.horizon_start = 0;
-  p.horizon_length = 16;
-  p.baseline_imbalance_kwh.assign(16, 0.0);
-  for (int s = 0; s < 16; ++s) {
-    p.baseline_imbalance_kwh[static_cast<size_t>(s)] =
-        (s % 2 == 0 ? 1.0 : -1.0) * 0.25 * static_cast<double>(s % 5);
-  }
-  p.imbalance_penalty_eur.assign(16, 0.5);
-  p.market.buy_price_eur.assign(16, 0.25);
-  p.market.sell_price_eur.assign(16, 0.125);
-  p.market.max_buy_kwh = 2.0;
-  p.market.max_sell_kwh = 2.0;
-  for (int i = 0; i < 6; ++i) {
-    flexoffer::FlexOffer fo;
-    fo.id = static_cast<flexoffer::FlexOfferId>(i + 1);
-    fo.earliest_start = i % 4;
-    fo.latest_start = fo.earliest_start + 6;
-    fo.assignment_before = fo.earliest_start;
-    fo.unit_price_eur = 0.25;
-    // Zero energy flexibility: fill * Flexibility() contributes exactly 0,
-    // so every energy, net load and cost is a dyadic rational.
-    fo.profile = {{1.0, 1.0}, {-0.5, -0.5}};
-    p.offers.push_back(fo);
-  }
-  return p;
-}
-
-TEST(FastKernelEaEquivalenceTest, BitIdenticalWhenCostsAreExact) {
-  SchedulingProblem p = DyadicProblem();
-  ASSERT_TRUE(p.Validate().ok());
-  SchedulerOptions exact_opt = IterBudget(30, 21);
-  SchedulerOptions fast_opt = exact_opt;
-  fast_opt.fast_math = true;
-  EvolutionaryScheduler ea;
-  auto exact_run = ea.Run(p, exact_opt);
-  auto fast_run = ea.Run(p, fast_opt);
-  ASSERT_TRUE(exact_run.ok());
-  ASSERT_TRUE(fast_run.ok());
-  ExpectBitIdentical(*fast_run, *exact_run);
-}
-
-TEST(FastKernelEaEquivalenceTest, FastRunsReportExactCostsOnRandomScenarios) {
-  // Whatever search path the fast kernel takes, the reported result cost is
-  // recomputed on the exact path — a fresh reference evaluator agrees
-  // bitwise, and the schedule is feasible.
-  Rng rng(55);
-  for (int it = 0; it < 8; ++it) {
-    SchedulingProblem p = MakeScenario(RandomScenarioConfig(&rng, 500 + it));
-    SchedulerOptions opt = IterBudget(12, 3 + static_cast<uint64_t>(it));
-    opt.fast_math = true;
-    EvolutionaryScheduler ea;
-    auto ea_run = ea.Run(p, opt);
-    ASSERT_TRUE(ea_run.ok());
-    ReferenceCostEvaluator ea_check(p);
-    ASSERT_TRUE(ea_check.SetSchedule(ea_run->schedule).ok());
-    EXPECT_EQ(ea_run->cost.total(), ea_check.Cost().total());
-
-    GreedyScheduler greedy;
-    auto greedy_run = greedy.Run(p, opt);
-    ASSERT_TRUE(greedy_run.ok());
-    ReferenceCostEvaluator greedy_check(p);
-    ASSERT_TRUE(greedy_check.SetSchedule(greedy_run->schedule).ok());
-    EXPECT_EQ(greedy_run->cost.total(), greedy_check.Cost().total());
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Property 6 (fast_math): allocation discipline. Delta replay is
-// allocation-free after DeltaTrail::Reserve, and the EA generation loop no
-// longer allocates per child (the pre-fast loop built a vector<Individual>
-// per generation plus a gene vector per child).
-// ---------------------------------------------------------------------------
-
-TEST(SchedulingKernelAllocationTest, DeltaReplayLoopDoesNotAllocate) {
-  ScenarioConfig cfg;
-  cfg.num_offers = 40;
-  cfg.seed = 14;
-  SchedulingProblem problem = MakeScenario(cfg);
-  Rng rng(15);
-
-  CompiledProblem cp(problem);
-  ScheduleWorkspace ws(cp);
-  ScheduleWorkspace::DeltaTrail trail;
-  trail.Reserve(cp);
-  Schedule base = RandomScheduleFor(problem, &rng);
-  ASSERT_TRUE(ws.SetSchedule(cp, base).ok());
-
-  struct Move {
-    size_t index;
-    TimeSlice start;
-    double fill;
-  };
-  std::vector<Move> moves;
-  moves.reserve(512);
-  for (int i = 0; i < 512; ++i) {
-    size_t index = rng.Index(problem.offers.size());
-    OfferAssignment a = RandomAssignment(problem.offers[index], &rng);
-    moves.push_back({index, a.start, a.fill});
-  }
-
-  double sink = ws.CachedCostTotal(cp);
-  const int64_t before = g_heap_allocations.load();
-  ASSERT_GT(before, 0);
-  for (size_t batch = 0; batch < moves.size(); batch += 8) {
-    for (size_t m = batch; m < batch + 8; ++m) {
-      sink += ws.ApplyMoveDelta(cp, moves[m].index, moves[m].start,
-                                moves[m].fill, &trail);
-    }
-    ws.RollbackDelta(&trail);
-  }
-  sink += ws.CachedCostTotal(cp);
-  const int64_t after = g_heap_allocations.load();
-  EXPECT_EQ(after, before) << "delta-replay loop allocated";
-  EXPECT_TRUE(std::isfinite(sink));
-}
-
 TEST(SchedulingKernelAllocationTest, EaGenerationLoopAllocationsAmortizeOut) {
   // Allocations must not scale with generation count: running 45 extra
   // generations may only add the trace vector's amortized growth, not the
-  // ~population_size allocations per generation the pre-fast loop made.
-  // Holds for the exact and the fast path alike.
+  // ~population_size allocations per generation a loop that builds a fresh
+  // vector<Individual> per generation (and a gene vector per child) makes.
   ScenarioConfig cfg;
   cfg.num_offers = 25;
   cfg.seed = 77;
   SchedulingProblem problem = MakeScenario(cfg);
-  for (bool fast : {false, true}) {
-    EvolutionaryScheduler ea;
-    auto run_with = [&](int generations) -> int64_t {
-      SchedulerOptions opt = IterBudget(generations, 11);
-      opt.fast_math = fast;
-      const int64_t before = g_heap_allocations.load();
-      auto run = ea.Run(problem, opt);
-      const int64_t after = g_heap_allocations.load();
-      EXPECT_TRUE(run.ok());
-      return after - before;
-    };
-    const int64_t short_run = run_with(5);
-    const int64_t long_run = run_with(50);
-    EXPECT_LE(long_run - short_run, 64)
-        << (fast ? "fast" : "exact")
-        << " EA generation loop allocates per generation";
-  }
+  EvolutionaryScheduler ea;
+  auto run_with = [&](int generations) -> int64_t {
+    SchedulerOptions opt = IterBudget(generations, 11);
+    const int64_t before = g_heap_allocations.load();
+    auto run = ea.Run(problem, opt);
+    const int64_t after = g_heap_allocations.load();
+    EXPECT_TRUE(run.ok());
+    return after - before;
+  };
+  const int64_t short_run = run_with(5);
+  const int64_t long_run = run_with(50);
+  EXPECT_LE(long_run - short_run, 64)
+      << "EA generation loop allocates per generation";
 }
 
 }  // namespace

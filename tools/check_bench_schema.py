@@ -58,8 +58,8 @@ def _robustness_legs():
 
 
 def _kernel_legs():
-    """Per-size legs of BENCH_scheduler_kernel.json, incl. the fast_math
-    legs (speedup_vs_kernel anchors the fast-kernel acceptance check)."""
+    """Per-size legs of BENCH_scheduler_kernel.json: the reference and
+    kernel child-evaluate and trymove-scan paths."""
     legs = {}
     for size in (32, 256, 2048):
         legs[f"child_evaluate/ref/{size}"] = _THROUGHPUT_FIELDS
@@ -70,10 +70,6 @@ def _kernel_legs():
         legs[f"trymove_scan/kernel/{size}"] = _THROUGHPUT_FIELDS + [
             "speedup_vs_ref"
         ]
-        legs[f"fast/child_evaluate/{size}"] = _THROUGHPUT_FIELDS + [
-            "speedup_vs_kernel"
-        ]
-        legs[f"fast/scan/{size}"] = _THROUGHPUT_FIELDS + ["speedup_vs_kernel"]
     return legs
 
 

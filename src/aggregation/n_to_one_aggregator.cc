@@ -30,11 +30,7 @@ Result<AggregateUpdate> NToOneAggregator::AddIncremental(
   for (const FlexOffer& fo : additions) {
     MIRABEL_RETURN_IF_ERROR(AddMember(fo, &agg));
   }
-  AggregateUpdate u;
-  u.kind = UpdateKind::kChanged;
-  u.id = aid;
-  u.aggregate = agg;
-  return u;
+  return AggregateUpdate{UpdateKind::kChanged, aid};
 }
 
 Result<AggregateUpdate> NToOneAggregator::Upsert(
@@ -51,11 +47,8 @@ Result<AggregateUpdate> NToOneAggregator::Upsert(
   }
   aggregates_[aid] = std::move(built);
 
-  AggregateUpdate u;
-  u.kind = created ? UpdateKind::kCreated : UpdateKind::kChanged;
-  u.id = aid;
-  u.aggregate = aggregates_[aid];
-  return u;
+  return AggregateUpdate{created ? UpdateKind::kCreated : UpdateKind::kChanged,
+                         aid};
 }
 
 Result<AggregateUpdate> NToOneAggregator::Delete(SubGroupId key) {
@@ -66,10 +59,7 @@ Result<AggregateUpdate> NToOneAggregator::Delete(SubGroupId key) {
   AggregateId aid = map_it->second;
   aggregates_.erase(aid);
   key_to_aggregate_.erase(map_it);
-  AggregateUpdate u;
-  u.kind = UpdateKind::kDeleted;
-  u.id = aid;
-  return u;
+  return AggregateUpdate{UpdateKind::kDeleted, aid};
 }
 
 std::vector<AggregateUpdate> NToOneAggregator::Process(

@@ -13,12 +13,11 @@ namespace mirabel::aggregation {
 
 /// Change of one aggregated flex-offer, the pipeline's final output
 /// ("information about created, deleted, and changed aggregated flex-offers",
-/// paper §4).
+/// paper §4). The record names the change only: callers read a created or
+/// changed aggregate's body through aggregates() (or Find()) by `id`.
 struct AggregateUpdate {
   UpdateKind kind = UpdateKind::kCreated;
   AggregateId id = 0;
-  /// Valid for kCreated / kChanged; empty members for kDeleted.
-  AggregatedFlexOffer aggregate;
 };
 
 /// Third stage of the aggregation pipeline: maintains one AggregatedFlexOffer

@@ -58,7 +58,8 @@ class AggregationPipeline {
   Status Remove(flexoffer::FlexOfferId id);
 
   /// Processes all queued updates through the stages and returns the
-  /// resulting aggregated flex-offer updates.
+  /// resulting aggregated flex-offer updates (kind and id; the bodies are
+  /// read through aggregates()).
   std::vector<AggregateUpdate> Flush();
 
   /// Live aggregates keyed by AggregateId.

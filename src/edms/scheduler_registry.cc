@@ -28,7 +28,8 @@ SchedulerRegistry& SchedulerRegistry::Default() {
     });
     // Default-constructed Robust carries a degenerate ensemble, i.e. it is
     // exactly its inner greedy scheduler until an ensemble is configured
-    // (EdmsEngine::Config::ensemble_scenarios builds the configured form).
+    // (an EdmsEngine::Config::scheduler_factory returning a RobustScheduler
+    // over a ScenarioEnsemble builds the configured form).
     (void)r->Register("Robust", [] {
       return std::make_unique<scheduling::RobustScheduler>();
     });

@@ -81,44 +81,29 @@ EdmsEngine::Config ShardEngineConfig(const ShardedEdmsRuntime::Config& config,
   ec.macro_id_lanes = num_shards;
   // Independent stochastic streams per shard.
   ec.seed = config.engine.seed + 1000003ULL * static_cast<uint64_t>(shard);
-  if (config.divide_scheduler_budget && num_shards > 1) {
-    // Hold the total per-gate scheduling effort constant across shard
-    // counts: each shard gets 1/N of the budget for its 1/N-sized problem.
-    if (ec.scheduler_budget_s > 0.0) {
-      ec.scheduler_budget_s /= static_cast<double>(num_shards);
-    }
-    if (ec.scheduler_max_iterations > 0) {
-      ec.scheduler_max_iterations =
-          (ec.scheduler_max_iterations + static_cast<int>(num_shards) - 1) /
-          static_cast<int>(num_shards);
-    }
+  // Hold the total per-gate scheduling effort constant across shard
+  // counts: each shard gets 1/N of the budget for its 1/N-sized problem.
+  if (ec.scheduler_budget_s > 0.0) {
+    ec.scheduler_budget_s /= static_cast<double>(num_shards);
+  }
+  if (ec.scheduler_max_iterations > 0) {
+    ec.scheduler_max_iterations =
+        (ec.scheduler_max_iterations + static_cast<int>(num_shards) - 1) /
+        static_cast<int>(num_shards);
   }
   return ec;
 }
 
-/// Waits for every posted task before returning or rethrowing: a task that
-/// threw (e.g. bad_alloc on a worker) must not unwind the caller's stack
-/// while sibling tasks still hold references into it.
-void DrainFutures(std::vector<std::future<void>>& futures) {
-  std::exception_ptr first_error;
-  for (std::future<void>& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (first_error == nullptr) first_error = std::current_exception();
-    }
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-}
+/// FanOut() work predicate of the calls that visit every shard.
+bool AllShards(size_t) { return true; }
 
-/// Joins a fan-out, keeping the first error.
-Status JoinAll(std::vector<std::future<void>>& futures,
-               std::vector<Status>& statuses) {
-  DrainFutures(futures);
-  for (Status& st : statuses) {
-    if (!st.ok()) return std::move(st);
-  }
-  return Status::OK();
+/// Splits `items` into one sub-batch per shard, by `shard_of(item)`.
+template <typename T, typename ShardOfFn>
+std::vector<std::vector<T>> Route(std::span<const T> items, size_t num_shards,
+                                  ShardOfFn shard_of) {
+  std::vector<std::vector<T>> buckets(num_shards);
+  for (const T& item : items) buckets[shard_of(item)].push_back(item);
+  return buckets;
 }
 
 }  // namespace
@@ -178,21 +163,40 @@ ShardedEdmsRuntime::~ShardedEdmsRuntime() {
   }
 }
 
-void ShardedEdmsRuntime::RunOnShard(size_t i, std::function<void()> fn) {
-  Shard* shard = shards_[i].get();
-  if (pool_ == nullptr) {
+Status ShardedEdmsRuntime::FanOut(const std::function<bool(size_t)>& has_work,
+                                  const std::function<Status(size_t)>& task) {
+  const size_t n = shards_.size();
+  std::vector<Status> statuses(n, Status::OK());
+  auto run = [this, &task, &statuses](size_t i) {
     Stopwatch watch;
-    fn();
-    FinishShardTask(*shard, watch.ElapsedSeconds());
-    return;
+    statuses[i] = task(i);
+    FinishShardTask(*shards_[i], watch.ElapsedSeconds());
+  };
+  std::vector<std::future<void>> futures;
+  for (size_t i = 0; i < n; ++i) {
+    if (!has_work(i)) continue;
+    if (pool_ == nullptr) {
+      run(i);
+    } else {
+      futures.push_back(shards_[i]->strand->Post([&run, i] { run(i); }));
+    }
   }
-  shard->strand
-      ->Post([this, shard, fn = std::move(fn)] {
-        Stopwatch watch;
-        fn();
-        FinishShardTask(*shard, watch.ElapsedSeconds());
-      })
-      .get();
+  // Wait for every posted task before returning or rethrowing: a task that
+  // threw (e.g. bad_alloc on a worker) must not unwind this frame while
+  // sibling tasks still hold references into it.
+  std::exception_ptr first_error;
+  for (std::future<void>& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (first_error == nullptr) first_error = std::current_exception();
+    }
+  }
+  if (first_error != nullptr) std::rethrow_exception(first_error);
+  for (Status& st : statuses) {
+    if (!st.ok()) return std::move(st);
+  }
+  return Status::OK();
 }
 
 void ShardedEdmsRuntime::DrainShardIntake(Shard& shard) {
@@ -287,44 +291,21 @@ void ShardedEdmsRuntime::ShedBucket(std::vector<FlexOffer> bucket,
 Result<size_t> ShardedEdmsRuntime::SubmitOffers(
     std::span<const FlexOffer> offers, TimeSlice now) {
   const size_t n = shards_.size();
-  if (pool_ == nullptr) {
-    Stopwatch watch;
-    Result<size_t> r = shards_[0]->engine->SubmitOffers(offers, now);
-    FinishShardTask(*shards_[0], watch.ElapsedSeconds());
-    return r;
-  }
-
-  std::vector<std::vector<FlexOffer>> buckets(n);
-  for (const FlexOffer& offer : offers) {
-    buckets[ShardOf(offer.owner)].push_back(offer);
-  }
+  auto owner_shard = [this](const FlexOffer& o) { return ShardOf(o.owner); };
 
   if (config_.streaming_intake) {
     // Stream: enqueue and return. The drain tasks run concurrently with
     // whatever the strands are doing (e.g. a gate on another shard), and
     // this path is safe from any number of producer threads.
+    std::vector<std::vector<FlexOffer>> buckets =
+        Route(offers, n, owner_shard);
     const auto max_pending =
         static_cast<int64_t>(config_.max_pending_batches_per_shard);
-    if (max_pending > 0 &&
-        config_.overload_policy == Config::OverloadPolicy::kReject) {
-      // All-or-nothing: probe every target queue before enqueuing anything,
-      // so a rejected call leaves no partial intake behind.
-      for (size_t i = 0; i < n; ++i) {
-        if (buckets[i].empty()) continue;
-        if (shards_[i]->intake.ApproxDepth() >= max_pending) {
-          return Status::ResourceExhausted(
-              "shard " + std::to_string(i) + " intake queue is full (" +
-              std::to_string(max_pending) + " pending batches)");
-        }
-      }
-    }
     const int64_t enqueue_ns = MonotonicNanos();
     size_t enqueued = 0;
     for (size_t i = 0; i < n; ++i) {
       if (buckets[i].empty()) continue;
-      if (max_pending > 0 &&
-          config_.overload_policy == Config::OverloadPolicy::kShed &&
-          shards_[i]->intake.ApproxDepth() >= max_pending) {
+      if (max_pending > 0 && shards_[i]->intake.ApproxDepth() >= max_pending) {
         ShedBucket(std::move(buckets[i]), now);
         continue;
       }
@@ -335,26 +316,21 @@ Result<size_t> ShardedEdmsRuntime::SubmitOffers(
     return enqueued;
   }
 
-  std::vector<Status> statuses(n, Status::OK());
+  // Fork-join. One shard takes the caller's batch as is; more take routed
+  // copies.
+  std::vector<std::vector<FlexOffer>> buckets;
+  if (n > 1) buckets = Route(offers, n, owner_shard);
+  auto batch = [&](size_t i) {
+    return n > 1 ? std::span<const FlexOffer>(buckets[i]) : offers;
+  };
+  auto has_work = [&](size_t i) { return !batch(i).empty(); };
   std::vector<size_t> accepted(n, 0);
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (buckets[i].empty()) continue;
-    futures.push_back(shards_[i]->strand->Post([this, i, &buckets, &statuses,
-                                                &accepted, now] {
-      Stopwatch watch;
-      Result<size_t> r = shards_[i]->engine->SubmitOffers(
-          std::span<const FlexOffer>(buckets[i]), now);
-      if (r.ok()) {
-        accepted[i] = *r;
-      } else {
-        statuses[i] = r.status();
-      }
-      FinishShardTask(*shards_[i], watch.ElapsedSeconds());
-    }));
-  }
-  MIRABEL_RETURN_IF_ERROR(JoinAll(futures, statuses));
+  auto submit = [&](size_t i) -> Status {
+    MIRABEL_ASSIGN_OR_RETURN(accepted[i],
+                             shards_[i]->engine->SubmitOffers(batch(i), now));
+    return Status::OK();
+  };
+  MIRABEL_RETURN_IF_ERROR(FanOut(has_work, submit));
   size_t total = 0;
   for (size_t count : accepted) total += count;
   return total;
@@ -365,179 +341,81 @@ Status ShardedEdmsRuntime::SubmitOffer(const FlexOffer& offer, TimeSlice now) {
 }
 
 Status ShardedEdmsRuntime::Advance(TimeSlice now) {
-  const size_t n = shards_.size();
-  if (pool_ == nullptr) {
-    Stopwatch watch;
-    Status st = shards_[0]->engine->Advance(now);
-    FinishShardTask(*shards_[0], watch.ElapsedSeconds());
-    return st;
-  }
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    futures.push_back(shards_[i]->strand->Post([this, i, &statuses, now] {
-      Stopwatch watch;
-      Shard& shard = *shards_[i];
-      // A due gate sees every batch enqueued before this task ran; deferred
-      // streaming-intake errors outrank gate errors (they happened first).
-      DrainShardIntake(shard);
-      Status st = std::exchange(shard.intake_error, Status::OK());
-      statuses[i] = st.ok() ? shard.engine->Advance(now) : std::move(st);
-      FinishShardTask(shard, watch.ElapsedSeconds());
-    }));
-  }
-  return JoinAll(futures, statuses);
+  return FanOut(AllShards, [this, now](size_t i) {
+    Shard& shard = *shards_[i];
+    // A due gate sees every batch enqueued before this task ran; deferred
+    // streaming-intake errors outrank gate errors (they happened first).
+    DrainShardIntake(shard);
+    Status st = std::exchange(shard.intake_error, Status::OK());
+    return st.ok() ? shard.engine->Advance(now) : std::move(st);
+  });
 }
 
 Status ShardedEdmsRuntime::ExpireDeadlines(TimeSlice now) {
-  const size_t n = shards_.size();
-  if (pool_ == nullptr) {
-    Stopwatch watch;
-    shards_[0]->engine->ExpireDeadlines(now);
-    FinishShardTask(*shards_[0], watch.ElapsedSeconds());
-    return Status::OK();
-  }
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    futures.push_back(shards_[i]->strand->Post([this, i, &statuses, now] {
-      Stopwatch watch;
-      Shard& shard = *shards_[i];
-      DrainShardIntake(shard);
-      statuses[i] = std::exchange(shard.intake_error, Status::OK());
-      shard.engine->ExpireDeadlines(now);
-      FinishShardTask(shard, watch.ElapsedSeconds());
-    }));
-  }
-  return JoinAll(futures, statuses);
+  return FanOut(AllShards, [this, now](size_t i) {
+    Shard& shard = *shards_[i];
+    DrainShardIntake(shard);
+    Status st = std::exchange(shard.intake_error, Status::OK());
+    shard.engine->ExpireDeadlines(now);
+    return st;
+  });
 }
 
 Status ShardedEdmsRuntime::FlushIntake() {
-  if (pool_ == nullptr || !config_.streaming_intake) return Status::OK();
-  const size_t n = shards_.size();
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    futures.push_back(shards_[i]->strand->Post([this, i, &statuses] {
-      Stopwatch watch;
-      Shard& shard = *shards_[i];
-      DrainShardIntake(shard);
-      statuses[i] = std::exchange(shard.intake_error, Status::OK());
-      FinishShardTask(shard, watch.ElapsedSeconds());
-    }));
-  }
-  return JoinAll(futures, statuses);
+  if (!config_.streaming_intake) return Status::OK();
+  return FanOut(AllShards, [this](size_t i) {
+    Shard& shard = *shards_[i];
+    DrainShardIntake(shard);
+    return std::exchange(shard.intake_error, Status::OK());
+  });
 }
 
 Status ShardedEdmsRuntime::CompleteMacroSchedule(
     const ScheduledFlexOffer& schedule, TimeSlice now) {
-  // Fork-join mode probes inline — the strands are quiescent between joined
-  // calls — and pays one strand round trip for the owning shard only. Under
-  // streaming intake a drain may run at any moment, so the probe itself
-  // must execute on the strand, serialized with gates and drains.
+  // The probe runs on each shard's strand in turn, serialized with gates
+  // and (under streaming intake) drains, until one shard has the macro.
   for (size_t i = 0; i < shards_.size(); ++i) {
-    if (!config_.streaming_intake) {
-      if (!shards_[i]->engine->HasPendingMacro(schedule.offer_id)) continue;
-      Status st = Status::OK();
-      RunOnShard(i, [this, i, &schedule, &st, now] {
-        st = shards_[i]->engine->CompleteMacroSchedule(schedule, now);
-      });
-      return st;
-    }
-    Status st = Status::OK();
     bool found = false;
-    RunOnShard(i, [this, i, &schedule, &st, &found, now] {
+    auto probe = [&](size_t) {
       EdmsEngine& engine = *shards_[i]->engine;
-      if (!engine.HasPendingMacro(schedule.offer_id)) return;
+      if (!engine.HasPendingMacro(schedule.offer_id)) return Status::OK();
       found = true;
-      st = engine.CompleteMacroSchedule(schedule, now);
-    });
+      return engine.CompleteMacroSchedule(schedule, now);
+    };
+    Status st = FanOut([i](size_t j) { return j == i; }, probe);
     if (found) return st;
   }
   return Status::NotFound("no shard has pending macro offer " +
                           std::to_string(schedule.offer_id));
 }
 
-Status ShardedEdmsRuntime::RecordExecution(FlexOfferId id, TimeSlice now,
-                                           double energy_kwh) {
-  // Same probe split as CompleteMacroSchedule(): inline when fork-join,
-  // on-strand when streaming.
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (!config_.streaming_intake) {
-      if (!shards_[i]->engine->lifecycle().StateOf(id).ok()) continue;
-      Status st = Status::OK();
-      RunOnShard(i, [this, i, id, now, energy_kwh, &st] {
-        st = shards_[i]->engine->RecordExecution(id, now, energy_kwh);
-      });
-      return st;
-    }
-    Status st = Status::OK();
-    bool found = false;
-    RunOnShard(i, [this, i, id, now, energy_kwh, &st, &found] {
-      EdmsEngine& engine = *shards_[i]->engine;
-      if (!engine.lifecycle().StateOf(id).ok()) return;
-      found = true;
-      st = engine.RecordExecution(id, now, energy_kwh);
-    });
-    if (found) return st;
-  }
-  return Status::NotFound("no shard knows offer " + std::to_string(id));
-}
-
-void ShardedEdmsRuntime::RecordMeasurement(ActorId actor, TimeSlice slice,
-                                           double energy_kwh) {
-  size_t i = ShardOf(actor);
-  RunOnShard(i, [this, i, actor, slice, energy_kwh] {
-    shards_[i]->engine->RecordMeasurement(actor, slice, energy_kwh);
-  });
-}
-
 void ShardedEdmsRuntime::RecordMeterReadings(
     std::span<const MeterReading> readings) {
   const size_t n = shards_.size();
-  if (pool_ == nullptr) {
-    Stopwatch watch;
-    Shard& shard = *shards_[0];
+  // One shard takes the caller's readings as is; more take routed copies.
+  auto actor_shard = [this](const MeterReading& r) { return ShardOf(r.actor); };
+  std::vector<std::vector<MeterReading>> buckets;
+  if (n > 1) buckets = Route(readings, n, actor_shard);
+  auto batch = [&](size_t i) {
+    return n > 1 ? std::span<const MeterReading>(buckets[i]) : readings;
+  };
+  auto meter = [&](size_t i) {
+    Shard& shard = *shards_[i];
     EdmsEngine& engine = *shard.engine;
-    for (const MeterReading& r : readings) {
+    for (const MeterReading& r : batch(i)) {
       engine.RecordMeasurement(r.actor, r.slice, r.energy_kwh);
+      // Execution failures (e.g. re-metered offers) are tolerated —
+      // duplicate-heavy bus traffic is normal — but counted, so they are
+      // visible instead of invisible.
       if (r.offer_id != 0 &&
           !engine.RecordExecution(r.offer_id, r.slice, r.energy_kwh).ok()) {
         ++shard.overlay.metering_failures;
       }
     }
-    FinishShardTask(shard, watch.ElapsedSeconds());
-    return;
-  }
-  std::vector<std::vector<MeterReading>> buckets(n);
-  for (const MeterReading& reading : readings) {
-    buckets[ShardOf(reading.actor)].push_back(reading);
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (buckets[i].empty()) continue;
-    futures.push_back(shards_[i]->strand->Post([this, i, &buckets] {
-      Stopwatch watch;
-      Shard& shard = *shards_[i];
-      EdmsEngine& engine = *shard.engine;
-      for (const MeterReading& r : buckets[i]) {
-        engine.RecordMeasurement(r.actor, r.slice, r.energy_kwh);
-        // Execution failures (e.g. re-metered offers) are tolerated —
-        // duplicate-heavy bus traffic is normal — but counted, so they are
-        // visible instead of invisible.
-        if (r.offer_id != 0 &&
-            !engine.RecordExecution(r.offer_id, r.slice, r.energy_kwh).ok()) {
-          ++shard.overlay.metering_failures;
-        }
-      }
-      FinishShardTask(shard, watch.ElapsedSeconds());
-    }));
-  }
-  DrainFutures(futures);
+    return Status::OK();
+  };
+  // Cannot fail: execution failures are counted, not returned.
+  (void)FanOut([&](size_t i) { return !batch(i).empty(); }, meter);
 }
 
 std::vector<Event> ShardedEdmsRuntime::PollEvents() {

@@ -49,11 +49,9 @@ namespace mirabel::edms {
 ///    loop's barrier); the accessors require quiescence — every submitter
 ///    stopped, then one FlushIntake()/Advance() — before they are safe.
 ///    Intake is bounded when Config::max_pending_batches_per_shard is set:
-///    on overflow, SubmitOffers() either sheds the overflowing sub-batches
-///    with OfferRejected{kOverloaded} events (OverloadPolicy::kShed, the
-///    default — reject-with-event beats silent OOM at millions of
-///    producers) or fails the whole call with ResourceExhausted
-///    (OverloadPolicy::kReject).
+///    on overflow, SubmitOffers() sheds the overflowing sub-batches with
+///    OfferRejected{kOverloaded} events (reject-with-event beats silent OOM
+///    at millions of producers).
 ///
 /// Mid-stream observability: Snapshot() returns coherent merged stats and
 /// per-shard gauges (intake queue depth, strand task latency, last drain
@@ -62,10 +60,16 @@ namespace mirabel::edms {
 /// quiescence. stats()/shard()/HasSeenOffer() remain the exact, quiescent
 /// fast path (see the threading table in docs/architecture.md).
 ///
+/// Every per-shard call — fork-join intake, gates, deadline passes, intake
+/// flushes, metering batches, macro-schedule probes — goes through one
+/// fan-out: inline on the caller thread when the runtime has no pool, else
+/// posted on the strands of the shards that have work and joined.
+///
 /// Threading contract (see also docs/architecture.md): Advance(),
-/// CompleteMacroSchedule(), RecordExecution(), RecordMeterReadings(),
-/// PollEvents() are single-caller (the control thread). SubmitOffers() is
-/// additionally safe from concurrent producer threads in streaming mode.
+/// ExpireDeadlines(), FlushIntake(), CompleteMacroSchedule(),
+/// RecordMeterReadings(), PollEvents() are single-caller (the control
+/// thread). SubmitOffers() is additionally safe from concurrent producer
+/// threads in streaming mode.
 ///
 /// Offer ids must be unique per owner across the runtime (true for every
 /// id scheme in the repo: owners mint their own namespaced ids). Duplicate
@@ -83,15 +87,12 @@ class ShardedEdmsRuntime {
     ShardRouter router;
     /// Template configuration applied to every shard. Per shard, the
     /// runtime derives: macro_id_lane/lanes (collision-free macro wire
-    /// ids), the seed (offset per shard) and — see below — the scheduler
+    /// ids), the seed (offset per shard) and the scheduler budget — the
+    /// template's time and iteration caps divided by num_shards, holding
+    /// the *total* scheduling effort per gate closure constant across shard
+    /// counts: N shards each solve a 1/N-sized problem with 1/N of the
     /// budget.
     EdmsEngine::Config engine;
-    /// When true (default), the template's scheduler budget (time and
-    /// iteration caps) is divided by num_shards, holding the *total*
-    /// scheduling effort per gate closure constant across shard counts:
-    /// N shards each solve a 1/N-sized problem with 1/N of the budget.
-    /// Disable to give every shard the full template budget.
-    bool divide_scheduler_budget = true;
     /// Worker pool to schedule the shard strands on. Null: the runtime
     /// creates a private pool with `num_shards` workers (the
     /// thread-per-shard footprint of the pre-pool runtime). Pass one pool
@@ -105,21 +106,11 @@ class ShardedEdmsRuntime {
     /// enforced approximately — producers racing SubmitOffers() can
     /// transiently overshoot by about the producer count — which is the
     /// right trade for a lock-free hot path; the guarantee is "bounded",
-    /// not "exact".
+    /// not "exact". A sub-batch whose shard queue is full is dropped, with
+    /// one OfferRejected{kOverloaded} event per shed offer (counted in
+    /// EngineStats::offers_shed); the call still succeeds for the other
+    /// shards' sub-batches.
     size_t max_pending_batches_per_shard = 0;
-    /// What SubmitOffers() does with a sub-batch whose shard queue is full.
-    enum class OverloadPolicy {
-      /// Drop the overflowing sub-batch and emit one
-      /// OfferRejected{kOverloaded} event per shed offer (counted in
-      /// EngineStats::offers_shed). The call still succeeds for the other
-      /// shards' sub-batches.
-      kShed = 0,
-      /// Fail the whole call synchronously with ResourceExhausted before
-      /// enqueuing anything (fork-join-style error for callers that prefer
-      /// to retry with backoff).
-      kReject = 1,
-    };
-    OverloadPolicy overload_policy = OverloadPolicy::kShed;
     /// Optional shutdown sink: when set, ~ShardedEdmsRuntime writes the
     /// final merged stats here after joining the strands, with
     /// offers_dropped_at_shutdown counting any offers still sitting
@@ -176,15 +167,6 @@ class ShardedEdmsRuntime {
   Status CompleteMacroSchedule(const flexoffer::ScheduledFlexOffer& schedule,
                                flexoffer::TimeSlice now);
 
-  /// Records execution of an assigned offer on the shard that owns it.
-  /// NotFound when no shard knows the id.
-  Status RecordExecution(flexoffer::FlexOfferId id, flexoffer::TimeSlice now,
-                         double energy_kwh);
-
-  /// Appends a raw measurement to the store of the actor's shard.
-  void RecordMeasurement(flexoffer::ActorId actor, flexoffer::TimeSlice slice,
-                         double energy_kwh);
-
   /// One metered reading on the bus hot path; `offer_id` != 0 additionally
   /// closes that offer's lifecycle (execution metering).
   struct MeterReading {
@@ -194,12 +176,12 @@ class ShardedEdmsRuntime {
     flexoffer::FlexOfferId offer_id = 0;
   };
 
-  /// Batch metering: routes each reading to its actor's shard (the shard
-  /// that owns the actor's offers) and records all of them in one fork-join
-  /// instead of a strand round trip per reading. Execution failures (e.g.
-  /// re-metered offers) are tolerated — matching the bus adapter's
-  /// tolerance of duplicate messages — but counted in
-  /// EngineStats::metering_failures so they stay visible.
+  /// Batch metering, the one metering entry: routes each reading to its
+  /// actor's shard (the shard that owns the actor's offers) and records all
+  /// of them in one fork-join instead of a strand round trip per reading.
+  /// Execution failures (unknown ids, re-metered offers) are tolerated —
+  /// matching the bus adapter's tolerance of duplicate messages — but
+  /// counted in EngineStats::metering_failures so they stay visible.
   void RecordMeterReadings(std::span<const MeterReading> readings);
 
   /// Drains every shard's event stream and returns one merged, ordered
@@ -244,9 +226,14 @@ class ShardedEdmsRuntime {
  private:
   struct Shard;
 
-  /// Runs `fn` serialized with shard `i`'s tasks: inline when the runtime
-  /// has no pool, else posted on the strand and joined.
-  void RunOnShard(size_t i, std::function<void()> fn);
+  /// The one fan-out: runs `task(i)` for every shard `i` with
+  /// `has_work(i)`, serialized with that shard's other tasks and folded
+  /// into its task gauges — inline on the caller thread when the runtime
+  /// has no pool, else posted on the shard strands in parallel and joined.
+  /// Returns the first error in shard order; rethrows the first exception
+  /// once every posted task has finished.
+  Status FanOut(const std::function<bool(size_t)>& has_work,
+                const std::function<Status(size_t)>& task);
   /// Strand context only: drains shard `i`'s intake queue into its engine.
   void DrainShardIntake(Shard& shard);
   /// Posts a fire-and-forget intake drain for shard `i`.
@@ -268,8 +255,8 @@ class ShardedEdmsRuntime {
   /// while the pool is still alive.
   std::shared_ptr<WorkerPool> pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Offers shed under OverloadPolicy::kShed (runtime-level: shed offers
-  /// never reach a shard engine). Added into stats()/Snapshot() merges.
+  /// Offers shed by the bounded intake (runtime-level: shed offers never
+  /// reach a shard engine). Added into stats()/Snapshot() merges.
   std::atomic<int64_t> shed_offers_{0};
   /// Pending OfferRejected{kOverloaded} events from producer-side sheds,
   /// merged into the next PollEvents() drain. Mutex-guarded: this is the

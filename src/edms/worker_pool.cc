@@ -7,10 +7,9 @@ namespace mirabel::edms {
 
 WorkerPool::WorkerPool() : WorkerPool(Options()) {}
 
-WorkerPool::WorkerPool(const Options& options) : options_(options) {
-  size_t n = options_.num_threads;
+WorkerPool::WorkerPool(const Options& options) {
+  size_t n = options.num_threads;
   if (n == 0) n = std::max<size_t>(1, std::thread::hardware_concurrency());
-  options_.num_threads = n;
   queues_.resize(n);
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -62,9 +61,9 @@ void WorkerPool::Enqueue(Strand* strand) {
     std::lock_guard<std::mutex> lock(mu_);
     queues_[strand->home_].push_back(strand);
   }
-  // notify_all, not _one: with stealing disabled only the home worker may
-  // run the strand, and a notify_one could wake a different (then
-  // re-sleeping) worker, stranding the task.
+  // notify_all wakes every idle worker to race for the strand (the home
+  // worker or a thief). notify_one would change which workers wake on every
+  // post, a scheduling change that wants its own measurement.
   cv_.notify_all();
 }
 
@@ -76,7 +75,6 @@ void WorkerPool::WorkerLoop(size_t index) {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this, index] {
         if (stop_ || !queues_[index].empty()) return true;
-        if (!options_.enable_stealing) return false;
         for (const auto& queue : queues_) {
           if (!queue.empty()) return true;
         }
@@ -85,7 +83,7 @@ void WorkerPool::WorkerLoop(size_t index) {
       if (!queues_[index].empty()) {
         strand = queues_[index].front();
         queues_[index].pop_front();
-      } else if (options_.enable_stealing) {
+      } else {
         // Steal from the back of the longest sibling queue: the strand that
         // would otherwise wait the longest behind its home worker.
         size_t victim = index;

@@ -22,13 +22,12 @@ namespace mirabel::edms {
 /// that guarantees FIFO, one-at-a-time execution of its own tasks while
 /// letting *which worker runs them* float. A runnable strand is enqueued on
 /// its home worker's run queue; a worker first drains its own queue, then
-/// (with stealing enabled) steals runnable strands from the longest sibling
-/// queue. Because a strand is enqueued at most once at any moment, stealing
-/// migrates whole shards between workers — it never reorders or overlaps one
-/// shard's tasks — so unevenly loaded shards are rebalanced instead of
-/// idling behind a busy home worker, and multiple runtimes (multi-BRP
-/// deployments) can share one pool handle without oversubscribing the
-/// machine.
+/// steals runnable strands from the longest sibling queue. Because a strand
+/// is enqueued at most once at any moment, stealing migrates whole shards
+/// between workers — it never reorders or overlaps one shard's tasks — so
+/// unevenly loaded shards are rebalanced instead of idling behind a busy
+/// home worker, and multiple runtimes (multi-BRP deployments) can share one
+/// pool handle without oversubscribing the machine.
 ///
 /// Scheduling granularity is deliberately coarse (batch intakes and gate
 /// closures, micro- to milliseconds each), so the run queues are per-worker
@@ -51,10 +50,6 @@ class WorkerPool {
     /// Worker threads; 0 resolves to std::thread::hardware_concurrency()
     /// (at least 1).
     size_t num_threads = 0;
-    /// Allow idle workers to steal runnable strands from siblings. Disabled,
-    /// every strand is pinned to its home worker and the pool reproduces the
-    /// pre-pool thread-per-shard fork-join behaviour (the bench baseline).
-    bool enable_stealing = true;
   };
 
   /// A serial executor on the pool: tasks run FIFO, one at a time, on
@@ -89,7 +84,7 @@ class WorkerPool {
     bool scheduled_ = false;
   };
 
-  /// Default options: hardware_concurrency workers, stealing enabled.
+  /// Default options: hardware_concurrency workers.
   WorkerPool();
   explicit WorkerPool(const Options& options);
 
@@ -104,11 +99,9 @@ class WorkerPool {
   std::unique_ptr<Strand> CreateStrand();
 
   size_t num_threads() const { return workers_.size(); }
-  bool stealing_enabled() const { return options_.enable_stealing; }
 
   /// Number of strand executions claimed by a non-home worker since
-  /// construction (0 when stealing is disabled). Monotonic; for tests and
-  /// bench reports.
+  /// construction. Monotonic; for tests and bench reports.
   uint64_t steals() const { return steals_.load(std::memory_order_relaxed); }
 
  private:
@@ -118,7 +111,6 @@ class WorkerPool {
   /// Runs `strand` to exhaustion, then marks it idle.
   static void RunStrand(Strand* strand);
 
-  Options options_;
   std::mutex mu_;
   std::condition_variable cv_;
   /// Per-worker run queues of runnable strands, guarded by mu_.

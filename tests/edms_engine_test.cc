@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "scheduling/robust_scheduler.h"
+#include "scheduling/stochastic_evaluator.h"
 #include "test_util.h"
 
 namespace mirabel::edms {
@@ -18,6 +20,7 @@ namespace {
 
 using flexoffer::FlexOffer;
 using flexoffer::ScheduledFlexOffer;
+using scheduling::ScenarioEnsemble;
 
 EdmsEngine::Config DeterministicConfig() {
   EdmsEngine::Config cfg;
@@ -393,6 +396,59 @@ TEST(EdmsEngineTest, GateHonoursThePeriod) {
   // Within the same period nothing fires; at +8 it may again.
   ASSERT_TRUE(engine.Advance(4).ok());
   EXPECT_EQ(engine.stats().scheduling_runs, runs_after_first);
+}
+
+/// Robust gates by composition: the scheduler factory returns a
+/// RobustScheduler over a bootstrapped forecast-error ensemble spanning the
+/// engine's horizon. `inner_runs` counts the wrapped candidate runs.
+EdmsEngine::Config RobustConfig(std::shared_ptr<int> inner_runs) {
+  EdmsEngine::Config cfg = DeterministicConfig();
+  const std::vector<double> pool = {-2.5, -1.0, -0.25, 0.5, 1.25, 3.5};
+  // 8 scenarios over the engine's horizon, bootstrapped under seed 11.
+  auto ensemble = ScenarioEnsemble::FromResidualPool(pool, cfg.horizon, 8, 11);
+  EXPECT_TRUE(ensemble.ok()) << ensemble.status();
+  if (!ensemble.ok()) return cfg;
+  EXPECT_FALSE(ensemble->IsDegenerate());
+  cfg.scheduler_factory = [scenarios = *ensemble, inner_runs] {
+    scheduling::RobustScheduler::Config robust;
+    robust.ensemble = scenarios;
+    robust.inner_factory = [inner_runs] {
+      ++*inner_runs;
+      return std::make_unique<scheduling::GreedyScheduler>();
+    };
+    return std::make_unique<scheduling::RobustScheduler>(std::move(robust));
+  };
+  return cfg;
+}
+
+TEST(EdmsEngineTest, RobustSchedulingComposesThroughTheFactory) {
+  auto inner_runs = std::make_shared<int>(0);
+  EdmsEngine engine(RobustConfig(inner_runs));
+  std::vector<FlexOffer> offers = ThreeOffers();
+  ASSERT_TRUE(engine.SubmitOffers(offers, 0).ok());
+  ASSERT_TRUE(engine.Advance(0).ok());
+
+  std::map<flexoffer::FlexOfferId, int> assigned;
+  for (const Event& event : engine.PollEvents()) {
+    if (const auto* e = std::get_if<ScheduleAssigned>(&event)) {
+      const ScheduledFlexOffer& schedule = e->schedule;
+      ++assigned[schedule.offer_id];
+      const FlexOffer& fo = offers[static_cast<size_t>(schedule.offer_id - 1)];
+      EXPECT_TRUE(schedule.ValidateAgainst(fo).ok());
+    }
+  }
+  // Every claimed offer gets exactly one schedule.
+  ASSERT_EQ(assigned.size(), offers.size());
+  for (const auto& [id, count] : assigned) EXPECT_EQ(count, 1) << id;
+  EXPECT_EQ(engine.stats().micro_schedules_sent, 3);
+  // The wrapper ranked several inner candidates: the robust path ran.
+  EXPECT_GE(*inner_runs, 2);
+
+  // Same seed, same ensemble: identical event streams.
+  std::vector<std::string> a = RunRoundTrip(RobustConfig(inner_runs));
+  std::vector<std::string> b = RunRoundTrip(RobustConfig(inner_runs));
+  ASSERT_FALSE(a.empty());
+  EXPECT_EQ(a, b);
 }
 
 }  // namespace

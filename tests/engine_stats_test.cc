@@ -36,10 +36,6 @@ EngineStats Filled(int64_t base) {
   s.portfolio_wins_hybrid = base + 21;
   s.portfolio_wins_bnb = base + 22;
   s.bnb_optimal_proven = base + 23;
-  s.robust_runs = base + 24;
-  s.robust_scenario_evaluations = base + 25;
-  s.robust_expected_cost_eur = static_cast<double>(base) + 26.5;
-  s.robust_cvar_eur = static_cast<double>(base) + 27.5;
   return s;
 }
 
@@ -70,11 +66,6 @@ void ExpectSum(const EngineStats& merged, int64_t a, int64_t b) {
   EXPECT_EQ(merged.portfolio_wins_hybrid, a + b + 42);
   EXPECT_EQ(merged.portfolio_wins_bnb, a + b + 44);
   EXPECT_EQ(merged.bnb_optimal_proven, a + b + 46);
-  EXPECT_EQ(merged.robust_runs, a + b + 48);
-  EXPECT_EQ(merged.robust_scenario_evaluations, a + b + 50);
-  EXPECT_DOUBLE_EQ(merged.robust_expected_cost_eur,
-                   static_cast<double>(a + b) + 53.0);
-  EXPECT_DOUBLE_EQ(merged.robust_cvar_eur, static_cast<double>(a + b) + 55.0);
 }
 
 TEST(EngineStatsTest, MergeCoversEveryField) {

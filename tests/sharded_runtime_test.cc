@@ -115,19 +115,19 @@ RunOutcome RunWorkload(size_t num_shards) {
   EXPECT_TRUE(runtime.Advance(0).ok());
 
   RunOutcome outcome;
-  std::vector<ScheduledFlexOffer> schedules;
+  std::vector<ShardedEdmsRuntime::MeterReading> readings;
   for (const Event& event : runtime.PollEvents()) {
     outcome.digests.push_back(Digest(event));
     if (const auto* e = std::get_if<OfferAccepted>(&event)) {
       outcome.accepted.insert(e->offer);
     } else if (const auto* e = std::get_if<ScheduleAssigned>(&event)) {
       outcome.assigned.insert(e->schedule.offer_id);
-      schedules.push_back(e->schedule);
+      readings.push_back({e->owner, /*slice=*/40, e->schedule.TotalEnergy(),
+                          e->schedule.offer_id});
     }
   }
-  for (const ScheduledFlexOffer& s : schedules) {
-    EXPECT_TRUE(runtime.RecordExecution(s.offer_id, 40, s.TotalEnergy()).ok());
-  }
+  runtime.RecordMeterReadings(readings);
+  EXPECT_EQ(runtime.stats().metering_failures, 0);
   for (const Event& event : runtime.PollEvents()) {
     outcome.digests.push_back(Digest(event));
     if (const auto* e = std::get_if<OfferExecuted>(&event)) {
@@ -272,8 +272,11 @@ TEST(ShardedRuntimeTest, ForwardingModePublishesLaneUniqueMacros) {
 
 TEST(ShardedRuntimeTest, ExecutionRoutingRejectsUnknownIds) {
   ShardedEdmsRuntime runtime(RuntimeConfig(2));
-  EXPECT_EQ(runtime.RecordExecution(999999, 1, 1.0).code(),
-            StatusCode::kNotFound);
+  std::vector<ShardedEdmsRuntime::MeterReading> readings = {
+      {/*actor=*/501, /*slice=*/1, /*energy_kwh=*/1.0, /*offer_id=*/999999}};
+  runtime.RecordMeterReadings(readings);
+  EXPECT_EQ(runtime.stats().metering_failures, 1);
+  EXPECT_EQ(runtime.stats().offers_executed, 0);
 }
 
 TEST(ShardedRuntimeTest, DuplicateIdsRejectOnlyTheirShard) {
@@ -505,8 +508,7 @@ struct BoundedOutcome {
   int64_t depth_while_blocked = 0;
 };
 
-BoundedOutcome RunBoundedIntake(
-    size_t max_pending, ShardedEdmsRuntime::Config::OverloadPolicy policy) {
+BoundedOutcome RunBoundedIntake(size_t max_pending) {
   WorkerPool::Options pool_options;
   pool_options.num_threads = 1;
   auto pool = std::make_shared<WorkerPool>(pool_options);
@@ -515,7 +517,6 @@ BoundedOutcome RunBoundedIntake(
   rc.streaming_intake = true;
   rc.pool = pool;
   rc.max_pending_batches_per_shard = max_pending;
-  rc.overload_policy = policy;
   ShardedEdmsRuntime runtime(rc);
 
   BoundedOutcome out;
@@ -524,9 +525,7 @@ BoundedOutcome RunBoundedIntake(
     for (const std::vector<FlexOffer>& call : BoundedIntakeCalls()) {
       auto submitted =
           runtime.SubmitOffers(std::span<const FlexOffer>(call), 0);
-      if (!submitted.ok()) {
-        EXPECT_EQ(submitted.status().code(), StatusCode::kResourceExhausted);
-      }
+      EXPECT_TRUE(submitted.ok()) << submitted.status();
       // Mid-stream, from the submitter thread, with the queues backed up:
       // the snapshot path must stay available and see the live depth.
       out.depth_while_blocked = std::max(
@@ -548,11 +547,9 @@ BoundedOutcome RunBoundedIntake(
 }
 
 TEST(ShardedRuntimeTest, BoundedIntakeShedsWithOverloadedEvents) {
-  BoundedOutcome bounded = RunBoundedIntake(
-      2, ShardedEdmsRuntime::Config::OverloadPolicy::kShed);
+  BoundedOutcome bounded = RunBoundedIntake(2);
   // The unbounded twin of the same submissions accepts everything.
-  BoundedOutcome unbounded = RunBoundedIntake(
-      0, ShardedEdmsRuntime::Config::OverloadPolicy::kShed);
+  BoundedOutcome unbounded = RunBoundedIntake(0);
   ASSERT_EQ(unbounded.accepted.size(), 8u);
   EXPECT_TRUE(unbounded.shed.empty());
 
@@ -583,19 +580,6 @@ TEST(ShardedRuntimeTest, BoundedIntakeShedsWithOverloadedEvents) {
   EXPECT_GE(unbounded.depth_while_blocked, 7);
 }
 
-TEST(ShardedRuntimeTest, BoundedIntakeRejectPolicyFailsWholeCall) {
-  BoundedOutcome rejected = RunBoundedIntake(
-      2, ShardedEdmsRuntime::Config::OverloadPolicy::kReject);
-  // Rejected calls enqueue nothing anywhere: the mixed call's shard-0 offer
-  // is rejected along with its full shard-1 sub-batch, and no
-  // OfferRejected{kOverloaded} events are emitted.
-  EXPECT_EQ(rejected.accepted, (std::set<FlexOfferId>{50100, 50101}));
-  EXPECT_TRUE(rejected.shed.empty());
-  EXPECT_EQ(rejected.stats.offers_shed, 0);
-  EXPECT_EQ(rejected.stats.offers_received, 2);
-  EXPECT_LE(rejected.depth_while_blocked, 2);
-}
-
 TEST(ShardedRuntimeTest, FinalStatsSinkSurvivesShutdown) {
   auto sink = std::make_shared<EngineStats>();
   std::vector<FlexOffer> offers = Workload();
@@ -615,8 +599,8 @@ TEST(ShardedRuntimeTest, FinalStatsSinkSurvivesShutdown) {
 }
 
 TEST(ShardedRuntimeTest, MeterReadingExecutionFailuresAreCounted) {
-  // Pooled (2 shards) and inline (1 shard, no pool) paths both count
-  // RecordExecution failures on the metering hot path instead of dropping
+  // Pooled (2 shards) and inline (1 shard, no pool) fan-outs both count
+  // execution failures on the metering hot path instead of dropping
   // them silently.
   for (size_t num_shards : {size_t{1}, size_t{2}}) {
     ShardedEdmsRuntime runtime(RuntimeConfig(num_shards));

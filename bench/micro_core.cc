@@ -12,6 +12,7 @@
 #include "datagen/energy_series_generator.h"
 #include "datagen/flex_offer_generator.h"
 #include "forecasting/hwt_model.h"
+#include "scheduling/compiled_problem.h"
 #include "scheduling/scenario.h"
 #include "scheduling/scheduler.h"
 
@@ -127,15 +128,15 @@ void BM_TryMove(benchmark::State& state) {
   scheduling::ScenarioConfig cfg;
   cfg.num_offers = static_cast<int>(state.range(0));
   auto problem = scheduling::MakeScenario(cfg);
-  scheduling::CostEvaluator evaluator(problem);
+  scheduling::CompiledProblem cp(problem);
+  scheduling::ScheduleWorkspace ws(cp);
   Rng rng(9);
   for (auto _ : state) {
     size_t i = rng.Index(problem.offers.size());
     const auto& fo = problem.offers[i];
-    scheduling::OfferAssignment candidate{
-        fo.earliest_start + rng.UniformInt(0, fo.TimeFlexibility()),
-        rng.NextDouble()};
-    benchmark::DoNotOptimize(evaluator.TryMove(i, candidate));
+    flexoffer::TimeSlice start =
+        fo.earliest_start + rng.UniformInt(0, fo.TimeFlexibility());
+    benchmark::DoNotOptimize(ws.TryMove(cp, i, start, rng.NextDouble()));
   }
 }
 BENCHMARK(BM_TryMove)->Arg(100)->Arg(1000);
@@ -144,10 +145,12 @@ void BM_FullCostEval(benchmark::State& state) {
   scheduling::ScenarioConfig cfg;
   cfg.num_offers = static_cast<int>(state.range(0));
   auto problem = scheduling::MakeScenario(cfg);
-  scheduling::CostEvaluator evaluator(problem);
-  scheduling::Schedule schedule = evaluator.schedule();
+  scheduling::CompiledProblem cp(problem);
+  scheduling::ScheduleWorkspace ws(cp);
+  scheduling::Schedule schedule;
+  ws.ExportSchedule(&schedule);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.EvaluateTotal(schedule));
+    benchmark::DoNotOptimize(ws.EvaluateInto(cp, schedule));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

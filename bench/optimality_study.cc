@@ -19,6 +19,7 @@
 #include "common/csv.h"
 #include "common/stopwatch.h"
 #include "edms/scheduler_registry.h"
+#include "scheduling/compiled_problem.h"
 #include "scheduling/scenario.h"
 #include "scheduling/scheduler.h"
 
@@ -49,7 +50,8 @@ int main() {
   cfg.imbalance_amplitude_kwh = 40.0;
   SchedulingProblem problem = MakeScenario(cfg);
 
-  uint64_t combos = ExhaustiveScheduler::CountCombinations(problem);
+  uint64_t combos =
+      ExhaustiveScheduler::CountCombinations(CompiledProblem(problem));
   std::printf("instance: %zu flex-offers, %llu start-time combinations\n",
               problem.offers.size(),
               static_cast<unsigned long long>(combos));

@@ -15,8 +15,9 @@ namespace mirabel {
 ///   Result<AggregatedFlexOffer> r = Aggregate(offers);
 ///   if (!r.ok()) return r.status();
 ///   Use(r.value());
+/// [[nodiscard]] like Status.
 template <typename T>
-class Result {
+class [[nodiscard]] Result {
  public:
   /// Constructs a Result holding `value`. Intentionally implicit so that
   /// functions can `return value;`.

@@ -28,11 +28,13 @@ enum class StatusCode {
 std::string_view StatusCodeToString(StatusCode code);
 
 /// A Status carries either success ("OK") or an error code plus message.
+/// [[nodiscard]]: a call whose Status is dropped fails the build
+/// (-Werror=unused-result); an intended ignore is spelled `(void)call;`.
 ///
 /// Usage:
 ///   Status s = offer.Validate();
 ///   if (!s.ok()) return s;
-class Status {
+class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.
   Status() : code_(StatusCode::kOk) {}

@@ -22,6 +22,27 @@ namespace {
 /// Problem size (macro offers x horizon slices) that earns the full
 /// per-gate scheduler budget; smaller gates get a proportional share.
 constexpr double kBudgetReferenceWork = 32.0 * 96.0;
+/// Floor of the scaled budget, as a fraction of the configured cap.
+constexpr double kBudgetMinFraction = 0.02;
+
+/// Per-problem-size scheduler budget: the §6 schedulers are anytime
+/// algorithms, so budget converts into quality only while there is search
+/// space left to explore — a late gate with one small macro offer must not
+/// burn the full per-gate cap. Scales `configured_s` linearly with the
+/// problem's work `num_offers * horizon_length` relative to
+/// kBudgetReferenceWork, clamped to [kBudgetMinFraction * configured_s,
+/// configured_s]. Non-positive budgets pass through unchanged
+/// (iteration-capped deterministic runs stay untouched).
+double ScaledTimeBudget(double configured_s, size_t num_offers,
+                        int horizon_length) {
+  if (configured_s <= 0.0) return configured_s;
+  double work = static_cast<double>(num_offers) *
+                static_cast<double>(horizon_length > 0 ? horizon_length : 0);
+  double fraction = work / kBudgetReferenceWork;
+  if (fraction > 1.0) fraction = 1.0;
+  if (fraction < kBudgetMinFraction) fraction = kBudgetMinFraction;
+  return configured_s * fraction;
+}
 
 }  // namespace
 
@@ -29,19 +50,16 @@ EngineStats& EngineStats::Merge(const EngineStats& other) {
   // Destructuring both sides pins the member count at compile time: adding a
   // field to EngineStats without extending these bindings fails to build.
   // The size guard additionally catches same-count layout changes.
-  static_assert(sizeof(EngineStats) == 25 * sizeof(int64_t),
+  static_assert(sizeof(EngineStats) == 19 * sizeof(int64_t),
                 "EngineStats layout changed: update Merge()");
   auto& [received, batches, accepted, rejected, runs, macros, micros, expired,
-         executed, payments, imb_before, imb_after, cost, budget_saved,
-         intake_errs, metering_fails, shed, dropped, macros_expired,
-         exec_timeouts, wins_greedy, wins_ea, wins_hybrid, wins_bnb,
-         proven] = *this;
+         executed, payments, imb_before, imb_after, cost, intake_errs,
+         metering_fails, shed, dropped, macros_expired, exec_timeouts] =
+      *this;
   const auto& [o_received, o_batches, o_accepted, o_rejected, o_runs, o_macros,
                o_micros, o_expired, o_executed, o_payments, o_imb_before,
-               o_imb_after, o_cost, o_budget_saved, o_intake_errs,
-               o_metering_fails, o_shed, o_dropped, o_macros_expired,
-               o_exec_timeouts, o_wins_greedy, o_wins_ea, o_wins_hybrid,
-               o_wins_bnb, o_proven] = other;
+               o_imb_after, o_cost, o_intake_errs, o_metering_fails, o_shed,
+               o_dropped, o_macros_expired, o_exec_timeouts] = other;
   received += o_received;
   batches += o_batches;
   accepted += o_accepted;
@@ -55,18 +73,12 @@ EngineStats& EngineStats::Merge(const EngineStats& other) {
   imb_before += o_imb_before;
   imb_after += o_imb_after;
   cost += o_cost;
-  budget_saved += o_budget_saved;
   intake_errs += o_intake_errs;
   metering_fails += o_metering_fails;
   shed += o_shed;
   dropped += o_dropped;
   macros_expired += o_macros_expired;
   exec_timeouts += o_exec_timeouts;
-  wins_greedy += o_wins_greedy;
-  wins_ea += o_wins_ea;
-  wins_hybrid += o_wins_hybrid;
-  wins_bnb += o_wins_bnb;
-  proven += o_proven;
   return *this;
 }
 
@@ -356,29 +368,19 @@ Status EdmsEngine::ScheduleClaimed(
   }
   // One compile serves the whole gate: the scheduler run (all its restarts
   // and, for Hybrid, both phases), the imbalance accounting and the
-  // macro-schedule export below. Validate() here preserves the check the
-  // schedulers' Run() entry points used to apply.
+  // macro-schedule export below. Validate() here is the check the base
+  // Scheduler::Run() applies before it compiles.
   MIRABEL_RETURN_IF_ERROR(problem.Validate());
   scheduling::CompiledProblem compiled(problem);
   scheduling::SchedulerOptions options;
   options.time_budget_s = ScaledTimeBudget(
-      config_.scheduler_budget_s, problem.offers.size(), config_.horizon,
-      kBudgetReferenceWork, /*min_fraction=*/0.02);
-  stats_.budget_saved_s += config_.scheduler_budget_s - options.time_budget_s;
+      config_.scheduler_budget_s, problem.offers.size(), config_.horizon);
   options.max_iterations = config_.scheduler_max_iterations;
   options.seed = config_.seed + static_cast<uint64_t>(now);
   MIRABEL_ASSIGN_OR_RETURN(scheduling::SchedulingResult run,
                            scheduler->RunCompiled(compiled, options));
   ++stats_.scheduling_runs;
   stats_.schedule_cost_eur += run.cost.total();
-  if (run.optimal_proven) ++stats_.bnb_optimal_proven;
-  for (const scheduling::PortfolioMemberStats& member : run.portfolio) {
-    if (!member.won) continue;
-    if (member.name == "GreedySearch") ++stats_.portfolio_wins_greedy;
-    if (member.name == "EvolutionaryAlgorithm") ++stats_.portfolio_wins_ea;
-    if (member.name == "Hybrid") ++stats_.portfolio_wins_hybrid;
-    if (member.name == "BranchAndBound") ++stats_.portfolio_wins_bnb;
-  }
   for (const auto& agg : macros) {
     events_.Push(MacroPublished{agg.macro, now, agg.members.size(),
                                      /*forwarded=*/false});

@@ -46,10 +46,6 @@ struct EngineStats {
   double imbalance_after_kwh = 0.0;
   /// Total scheduling cost of the accepted schedules (EUR).
   double schedule_cost_eur = 0.0;
-  /// Wall-clock budget returned by per-problem-size budget scaling: the sum
-  /// over scheduling runs of (configured per-gate budget - scaled budget).
-  /// See Config::scheduler_budget_s.
-  double budget_saved_s = 0.0;
   /// Deferred streaming-intake errors (ShardedEdmsRuntime drains): every
   /// non-duplicate failure is counted here even though Advance()/
   /// FlushIntake() return only the first one.
@@ -73,17 +69,6 @@ struct EngineStats {
   /// Config::execution_timeout_slices of their schedule's end; closed as
   /// expired so per-offer bookkeeping cannot leak under message loss.
   int64_t executions_timed_out = 0;
-  /// Portfolio-race wins per member family, counted over scheduling runs
-  /// whose result carried per-member stats (i.e. the configured scheduler
-  /// was a PortfolioScheduler). Members with other names count nowhere.
-  int64_t portfolio_wins_greedy = 0;
-  int64_t portfolio_wins_ea = 0;
-  int64_t portfolio_wins_hybrid = 0;
-  int64_t portfolio_wins_bnb = 0;
-  /// Scheduling runs whose result was proved optimal over the start-slot
-  /// search space (BranchAndBound directly, or a portfolio whose winner
-  /// proved it).
-  int64_t bnb_optimal_proven = 0;
 
   /// Adds `other` field by field. The implementation destructures the whole
   /// struct, so adding a field without extending Merge() fails to compile.
@@ -147,11 +132,10 @@ class EdmsEngine {
     /// scheduling::RobustScheduler wrapping another factory for
     /// uncertainty-aware gates.
     SchedulerFactory scheduler_factory;
-    /// Wall-clock budget cap per gate, scaled with problem size
-    /// (ScaledTimeBudget): a gate scheduling `n` macro offers over `horizon`
-    /// slices gets scheduler_budget_s * min(1, n * horizon / (32 * 96)),
-    /// floored at 2% of the cap, so tiny late gates stop burning the full
-    /// budget. The saved time accrues in EngineStats::budget_saved_s.
+    /// Wall-clock budget cap per gate, scaled with problem size: a gate
+    /// scheduling `n` macro offers over `horizon` slices gets
+    /// scheduler_budget_s * min(1, n * horizon / (32 * 96)), floored at 2%
+    /// of the cap, so tiny late gates stop burning the full budget.
     double scheduler_budget_s = 0.05;
     /// Iteration cap per scheduling run (0 = unlimited). Set this and a
     /// non-positive time budget for bit-deterministic runs.

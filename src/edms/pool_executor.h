@@ -8,13 +8,14 @@
 #include <vector>
 
 #include "edms/worker_pool.h"
-#include "scheduling/portfolio_scheduler.h"
+#include "scheduling/executor.h"
 
 namespace mirabel::edms {
 
-/// Runs a portfolio race's members as strands of a shared WorkerPool instead
-/// of spawning one thread per member: each task gets its own strand (tasks
-/// are independent, so serialization per strand costs nothing) and the
+/// The scheduling layer's Executor on a shared WorkerPool: runs a task batch
+/// (a portfolio race's members, a StochasticEvaluator's scenarios) as pool
+/// strands instead of one thread per task. Each task gets its own strand
+/// (tasks are independent, so serialization per strand costs nothing) and the
 /// work-stealing pool spreads the strands across its workers alongside
 /// whatever gate processing is in flight.
 ///
@@ -24,7 +25,7 @@ namespace mirabel::edms {
 /// nobody is left to run the members. EdmsEngine drives schedulers from its
 /// gate-close path (off-pool), which satisfies this; see
 /// tests/portfolio_scheduler_test.cc for the wiring.
-class WorkerPoolExecutor : public scheduling::PortfolioScheduler::Executor {
+class WorkerPoolExecutor : public scheduling::Executor {
  public:
   /// `pool` must outlive the executor and every RunAll call.
   explicit WorkerPoolExecutor(WorkerPool* pool) : pool_(pool) {}

@@ -78,16 +78,4 @@ SchedulerFactory DefaultSchedulerFactory() {
   return [] { return std::make_unique<scheduling::GreedyScheduler>(); };
 }
 
-double ScaledTimeBudget(double configured_s, size_t num_offers,
-                        int horizon_length, double reference_work,
-                        double min_fraction) {
-  if (configured_s <= 0.0 || reference_work <= 0.0) return configured_s;
-  double work = static_cast<double>(num_offers) *
-                static_cast<double>(horizon_length > 0 ? horizon_length : 0);
-  double fraction = work / reference_work;
-  if (fraction > 1.0) fraction = 1.0;
-  if (fraction < min_fraction) fraction = min_fraction;
-  return configured_s * fraction;
-}
-
 }  // namespace mirabel::edms

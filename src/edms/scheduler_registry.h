@@ -54,18 +54,6 @@ class SchedulerRegistry {
 /// Engine configs that leave `scheduler_factory` empty resolve to this.
 SchedulerFactory DefaultSchedulerFactory();
 
-/// Per-problem-size scheduler budget: the §6 schedulers are anytime
-/// algorithms, so budget converts into quality only while there is search
-/// space left to explore — a late gate with one small macro offer must not
-/// burn the full per-gate cap. Scales `configured_s` linearly with the
-/// problem's work measure `num_offers * horizon_length` relative to
-/// `reference_work` (the size that earns the full budget), clamped to
-/// [min_fraction * configured_s, configured_s]. Non-positive budgets pass
-/// through unchanged (iteration-capped deterministic runs stay untouched).
-double ScaledTimeBudget(double configured_s, size_t num_offers,
-                        int horizon_length, double reference_work,
-                        double min_fraction);
-
 }  // namespace mirabel::edms
 
 #endif  // MIRABEL_EDMS_SCHEDULER_REGISTRY_H_

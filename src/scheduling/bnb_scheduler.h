@@ -153,8 +153,6 @@ class BranchAndBoundScheduler : public Scheduler {
   BranchAndBoundScheduler();
   explicit BranchAndBoundScheduler(const Config& config);
   std::string Name() const override { return "BranchAndBound"; }
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override;
 
   /// Runs on an already-compiled problem; see GreedyScheduler::RunCompiled.
   /// `options.max_iterations` (when > 0) caps expanded search nodes after

@@ -26,14 +26,15 @@ namespace mirabel::scheduling {
 ///
 /// The slice energy of offer i at profile position j under fill level f is
 ///   min_kwh[profile_offset[i] + j] + f * flex_kwh[profile_offset[i] + j]
-/// — bit-identical to CostEvaluator::SliceEnergy on the source offer.
+/// — bit-identical to ReferenceCostEvaluator::SliceEnergy on the source
+/// offer.
 ///
-/// The source problem must outlive the compiled form (offer ids and the
-/// compatibility accessors still read it).
+/// The source problem must outlive the compiled form (ExportScheduledOffers
+/// reads its offer ids).
 struct CompiledProblem {
   CompiledProblem() = default;
   /// Compiles `problem`, which must outlive this object and must already be
-  /// Validate()d (same precondition the CostEvaluator always had).
+  /// Validate()d (same precondition as ReferenceCostEvaluator).
   explicit CompiledProblem(const SchedulingProblem& problem);
 
   flexoffer::TimeSlice horizon_start = 0;
@@ -95,8 +96,8 @@ double SliceResidualCost(const CompiledProblem& cp, size_t s, double residual);
 /// Cost() is a branch-free sum and TryMove charges each touched slice's
 /// *current* cost from the cache instead of recomputing it per candidate.
 ///
-/// Every arithmetic expression matches the pre-kernel CostEvaluator term for
-/// term and in evaluation order, so schedules, costs and deltas are
+/// Every arithmetic expression matches ReferenceCostEvaluator term for term
+/// and in evaluation order, so schedules, costs and deltas are
 /// bit-identical to the pre-kernel implementation (the equivalence oracle in
 /// src/scheduling/reference_evaluator.h enforces this in tests).
 class ScheduleWorkspace {
@@ -108,8 +109,8 @@ class ScheduleWorkspace {
   /// Re-binds nothing; recomputes the default schedule from scratch.
   void ResetToDefault(const CompiledProblem& cp);
 
-  /// Replaces the schedule after validating it (OutOfRange like the shim's
-  /// SetSchedule); full single-pass recompute.
+  /// Replaces the schedule after validating it (OutOfRange like
+  /// ReferenceCostEvaluator::SetSchedule); full single-pass recompute.
   Status SetSchedule(const CompiledProblem& cp, const Schedule& schedule);
 
   /// Replaces the schedule without validation; full single-pass recompute.

@@ -7,51 +7,20 @@ namespace mirabel::scheduling {
 ExhaustiveScheduler::ExhaustiveScheduler(uint64_t max_combinations)
     : max_combinations_(max_combinations) {}
 
-namespace {
-
-/// Saturating product step shared by both CountCombinations overloads, so
-/// the combination limit Run() documents and the one RunCompiled() enforces
-/// cannot drift apart.
-uint64_t AccumulateCombos(uint64_t combos, uint64_t window) {
-  if (combos > UINT64_MAX / window) return UINT64_MAX;
-  return combos * window;
-}
-
-}  // namespace
-
-uint64_t ExhaustiveScheduler::CountCombinations(
-    const SchedulingProblem& problem) {
-  uint64_t combos = 1;
-  for (const auto& fo : problem.offers) {
-    combos = AccumulateCombos(combos,
-                              static_cast<uint64_t>(fo.TimeFlexibility()) + 1);
-  }
-  return combos;
-}
-
 uint64_t ExhaustiveScheduler::CountCombinations(const CompiledProblem& cp) {
-  // cp.latest_start[i] - cp.earliest_start[i] is TimeFlexibility() of the
-  // source offer, so the two overloads agree by construction.
   uint64_t combos = 1;
   for (size_t i = 0; i < cp.num_offers; ++i) {
-    combos = AccumulateCombos(
-        combos,
-        static_cast<uint64_t>(cp.latest_start[i] - cp.earliest_start[i]) + 1);
+    // Saturating product of the per-offer window sizes.
+    const uint64_t window =
+        static_cast<uint64_t>(cp.latest_start[i] - cp.earliest_start[i]) + 1;
+    if (combos > UINT64_MAX / window) return UINT64_MAX;
+    combos *= window;
   }
   return combos;
-}
-
-Result<SchedulingResult> ExhaustiveScheduler::Run(
-    const SchedulingProblem& problem, const SchedulerOptions& options) {
-  MIRABEL_RETURN_IF_ERROR(problem.Validate());
-  CompiledProblem cp(problem);
-  return RunCompiled(cp, options);
 }
 
 Result<SchedulingResult> ExhaustiveScheduler::RunCompiled(
     const CompiledProblem& cp, const SchedulerOptions& options) {
-  // The combination guard lives with the enumeration so direct RunCompiled
-  // callers (EdmsEngine's shared per-gate compile) stay protected.
   uint64_t combos = CountCombinations(cp);
   if (combos > max_combinations_) {
     return Status::FailedPrecondition(

@@ -63,13 +63,6 @@ GreedyScheduler::GreedyScheduler() : GreedyScheduler(Config()) {}
 
 GreedyScheduler::GreedyScheduler(const Config& config) : config_(config) {}
 
-Result<SchedulingResult> GreedyScheduler::Run(const SchedulingProblem& problem,
-                                              const SchedulerOptions& options) {
-  MIRABEL_RETURN_IF_ERROR(problem.Validate());
-  CompiledProblem compiled(problem);
-  return RunCompiled(compiled, options);
-}
-
 Result<SchedulingResult> GreedyScheduler::RunCompiled(
     const CompiledProblem& cp, const SchedulerOptions& options) {
   Stopwatch watch;

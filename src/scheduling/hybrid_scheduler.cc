@@ -8,14 +8,6 @@ HybridScheduler::HybridScheduler() : HybridScheduler(Config()) {}
 
 HybridScheduler::HybridScheduler(const Config& config) : config_(config) {}
 
-Result<SchedulingResult> HybridScheduler::Run(const SchedulingProblem& problem,
-                                              const SchedulerOptions& options) {
-  MIRABEL_RETURN_IF_ERROR(problem.Validate());
-  // Compile once; both phases run on the same SoA form.
-  CompiledProblem compiled(problem);
-  return RunCompiled(compiled, options);
-}
-
 Result<SchedulingResult> HybridScheduler::RunCompiled(
     const CompiledProblem& compiled, const SchedulerOptions& options) {
   Stopwatch watch;

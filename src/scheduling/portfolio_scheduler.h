@@ -30,12 +30,6 @@ namespace mirabel::scheduling {
 /// strand per member; the default ThreadExecutor spawns plain threads).
 class PortfolioScheduler : public Scheduler {
  public:
-  /// The task-batch seam now lives in scheduling/executor.h (it is shared
-  /// with StochasticEvaluator); these aliases keep the historical nested
-  /// names working for executor implementations and tests.
-  using Executor = scheduling::Executor;
-  using ThreadExecutor = scheduling::ThreadExecutor;
-
   /// One racing member. `rank` is its index in Config::members: the seed
   /// offset and the tie-break priority (lower rank wins cost ties).
   struct Member {
@@ -61,8 +55,6 @@ class PortfolioScheduler : public Scheduler {
   PortfolioScheduler();
   explicit PortfolioScheduler(Config config);
   std::string Name() const override { return "Portfolio"; }
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override;
 
   /// Runs on an already-compiled problem shared (read-only) by all racing
   /// members; see GreedyScheduler::RunCompiled.

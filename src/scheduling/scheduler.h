@@ -93,21 +93,24 @@ class Scheduler {
   virtual ~Scheduler() = default;
   virtual std::string Name() const = 0;
 
-  /// Solves `problem` within the budget. The problem must Validate().
+  /// Solves `problem` within the budget: Validate()s it, compiles it once
+  /// and delegates to RunCompiled(). Schedulers implement RunCompiled() only;
+  /// Run() stays virtual so decorators can wrap both entries.
   virtual Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                                       const SchedulerOptions& options) = 0;
-
-  /// Solves an already-compiled problem. Callers that hold several
-  /// schedulers, restarts or follow-up passes over one gate's problem (e.g.
-  /// EdmsEngine, HybridScheduler) compile once and share the SoA form
-  /// instead of paying one compile per Run(). `compiled.source` must be
-  /// non-null, already Validate()d, and outlive the call. The default
-  /// delegates to Run() (recompiling); the in-tree schedulers all override
-  /// it with a compile-free path.
-  virtual Result<SchedulingResult> RunCompiled(
-      const CompiledProblem& compiled, const SchedulerOptions& options) {
-    return Run(*compiled.source, options);
+                                       const SchedulerOptions& options) {
+    MIRABEL_RETURN_IF_ERROR(problem.Validate());
+    CompiledProblem compiled(problem);
+    return RunCompiled(compiled, options);
   }
+
+  /// Solves an already-compiled problem: the one entry every scheduler
+  /// implements. Callers that hold several schedulers, restarts or
+  /// follow-up passes over one gate's problem (e.g. EdmsEngine,
+  /// HybridScheduler) compile once and share the SoA form instead of paying
+  /// one compile per Run(). `compiled.source` must be non-null, already
+  /// Validate()d, and outlive the call.
+  virtual Result<SchedulingResult> RunCompiled(
+      const CompiledProblem& compiled, const SchedulerOptions& options) = 0;
 };
 
 /// Randomized greedy search (paper §6): "constructs the schedule gradually —
@@ -128,12 +131,10 @@ class GreedyScheduler : public Scheduler {
   GreedyScheduler();
   explicit GreedyScheduler(const Config& config);
   std::string Name() const override { return "GreedySearch"; }
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override;
 
-  /// Runs on an already-compiled problem (Run() compiles and delegates;
-  /// HybridScheduler and EdmsEngine compile once and share it across
-  /// phases/passes). `compiled.source` must outlive the call.
+  /// Runs on an already-compiled problem (HybridScheduler and EdmsEngine
+  /// compile once and share it across phases/passes). `compiled.source`
+  /// must outlive the call.
   Result<SchedulingResult> RunCompiled(
       const CompiledProblem& compiled,
       const SchedulerOptions& options) override;
@@ -162,8 +163,6 @@ class EvolutionaryScheduler : public Scheduler {
   EvolutionaryScheduler();
   explicit EvolutionaryScheduler(const Config& config);
   std::string Name() const override { return "EvolutionaryAlgorithm"; }
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override;
 
   /// Runs on an already-compiled problem; see GreedyScheduler::RunCompiled.
   Result<SchedulingResult> RunCompiled(
@@ -186,8 +185,6 @@ class ExhaustiveScheduler : public Scheduler {
  public:
   explicit ExhaustiveScheduler(uint64_t max_combinations = 100000000ULL);
   std::string Name() const override { return "Exhaustive"; }
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override;
 
   /// Runs on an already-compiled problem (still subject to the combination
   /// limit); see GreedyScheduler::RunCompiled.
@@ -195,9 +192,7 @@ class ExhaustiveScheduler : public Scheduler {
       const CompiledProblem& compiled,
       const SchedulerOptions& options) override;
 
-  /// Number of start-time combinations of `problem`. The two overloads
-  /// agree: the compiled form carries the same per-offer windows.
-  static uint64_t CountCombinations(const SchedulingProblem& problem);
+  /// Number of start-time combinations of `cp`.
   static uint64_t CountCombinations(const CompiledProblem& cp);
 
  private:
@@ -218,8 +213,6 @@ class HybridScheduler : public Scheduler {
   HybridScheduler();
   explicit HybridScheduler(const Config& config);
   std::string Name() const override { return "Hybrid"; }
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override;
 
   /// Runs on an already-compiled problem, shared by both phases; see
   /// GreedyScheduler::RunCompiled.

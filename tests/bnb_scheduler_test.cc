@@ -50,7 +50,8 @@ TEST(BnbSchedulerTest, MatchesExhaustiveBitwiseWithFewerNodes) {
   int proven = 0;
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     SchedulingProblem problem = MakeScenario(SmallInstance(seed));
-    const uint64_t combos = ExhaustiveScheduler::CountCombinations(problem);
+    const uint64_t combos =
+        ExhaustiveScheduler::CountCombinations(CompiledProblem(problem));
     ASSERT_GT(combos, 1u) << "seed " << seed << " has no search space";
 
     ExhaustiveScheduler exhaustive;
@@ -133,12 +134,6 @@ class FixedScheduler : public Scheduler {
  public:
   explicit FixedScheduler(Schedule schedule) : schedule_(std::move(schedule)) {}
   std::string Name() const override { return "Fixed"; }
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override {
-    MIRABEL_RETURN_IF_ERROR(problem.Validate());
-    CompiledProblem cp(problem);
-    return RunCompiled(cp, options);
-  }
   Result<SchedulingResult> RunCompiled(const CompiledProblem& cp,
                                        const SchedulerOptions&) override {
     ScheduleWorkspace ws(cp);

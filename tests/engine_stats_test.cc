@@ -26,16 +26,12 @@ EngineStats Filled(int64_t base) {
   s.imbalance_before_kwh = static_cast<double>(base) + 11.5;
   s.imbalance_after_kwh = static_cast<double>(base) + 12.5;
   s.schedule_cost_eur = static_cast<double>(base) + 13.5;
-  s.budget_saved_s = static_cast<double>(base) + 14.5;
   s.intake_errors = base + 15;
   s.metering_failures = base + 16;
   s.offers_shed = base + 17;
   s.offers_dropped_at_shutdown = base + 18;
-  s.portfolio_wins_greedy = base + 19;
-  s.portfolio_wins_ea = base + 20;
-  s.portfolio_wins_hybrid = base + 21;
-  s.portfolio_wins_bnb = base + 22;
-  s.bnb_optimal_proven = base + 23;
+  s.macros_expired_unscheduled = base + 19;
+  s.executions_timed_out = base + 20;
   return s;
 }
 
@@ -56,16 +52,12 @@ void ExpectSum(const EngineStats& merged, int64_t a, int64_t b) {
                    static_cast<double>(a + b) + 25.0);
   EXPECT_DOUBLE_EQ(merged.schedule_cost_eur,
                    static_cast<double>(a + b) + 27.0);
-  EXPECT_DOUBLE_EQ(merged.budget_saved_s, static_cast<double>(a + b) + 29.0);
   EXPECT_EQ(merged.intake_errors, a + b + 30);
   EXPECT_EQ(merged.metering_failures, a + b + 32);
   EXPECT_EQ(merged.offers_shed, a + b + 34);
   EXPECT_EQ(merged.offers_dropped_at_shutdown, a + b + 36);
-  EXPECT_EQ(merged.portfolio_wins_greedy, a + b + 38);
-  EXPECT_EQ(merged.portfolio_wins_ea, a + b + 40);
-  EXPECT_EQ(merged.portfolio_wins_hybrid, a + b + 42);
-  EXPECT_EQ(merged.portfolio_wins_bnb, a + b + 44);
-  EXPECT_EQ(merged.bnb_optimal_proven, a + b + 46);
+  EXPECT_EQ(merged.macros_expired_unscheduled, a + b + 38);
+  EXPECT_EQ(merged.executions_timed_out, a + b + 40);
 }
 
 TEST(EngineStatsTest, MergeCoversEveryField) {

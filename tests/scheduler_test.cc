@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "edms/scheduler_registry.h"
+#include "scheduling/compiled_problem.h"
 #include "scheduling/scenario.h"
 
 namespace mirabel::scheduling {
@@ -33,7 +34,8 @@ TEST_P(SchedulerSuite, ImprovesOverFallbackBaseline) {
   cfg.num_offers = 50;
   cfg.seed = 5;
   SchedulingProblem problem = MakeScenario(cfg);
-  double baseline = CostEvaluator(problem).Cost().total();
+  CompiledProblem cp(problem);
+  double baseline = ScheduleWorkspace(cp).Cost(cp).total();
 
   auto scheduler = MakeScheduler(GetParam());
   ASSERT_NE(scheduler, nullptr);
@@ -51,9 +53,10 @@ TEST_P(SchedulerSuite, ScheduleRespectsAllConstraints) {
   auto scheduler = MakeScheduler(GetParam());
   auto result = scheduler->Run(problem, IterBudget(100));
   ASSERT_TRUE(result.ok());
-  CostEvaluator eval(problem);
-  ASSERT_TRUE(eval.SetSchedule(result->schedule).ok());
-  auto scheduled = eval.ToScheduledOffers();
+  CompiledProblem cp(problem);
+  ScheduleWorkspace ws(cp);
+  ASSERT_TRUE(ws.SetSchedule(cp, result->schedule).ok());
+  auto scheduled = ws.ExportScheduledOffers(cp);
   for (size_t i = 0; i < scheduled.size(); ++i) {
     EXPECT_TRUE(scheduled[i].ValidateAgainst(problem.offers[i]).ok());
   }
@@ -108,7 +111,8 @@ TEST_P(SchedulerSuite, HandlesEmptyOfferSet) {
 INSTANTIATE_TEST_SUITE_P(Algorithms, SchedulerSuite,
                          ::testing::Values("GreedySearch",
                                            "EvolutionaryAlgorithm", "Hybrid",
-                                           "BranchAndBound", "Portfolio"),
+                                           "BranchAndBound", "Portfolio",
+                                           "Robust"),
                          [](const auto& info) { return info.param; });
 
 TEST(HybridSchedulerTest, AtLeastAsGoodAsItsGreedyPhase) {
@@ -165,7 +169,8 @@ TEST(ExhaustiveSchedulerTest, CountCombinations) {
   cfg.max_time_flexibility = 2;
   cfg.seed = 77;
   SchedulingProblem problem = MakeScenario(cfg);
-  uint64_t combos = ExhaustiveScheduler::CountCombinations(problem);
+  uint64_t combos =
+      ExhaustiveScheduler::CountCombinations(CompiledProblem(problem));
   uint64_t expected = 1;
   for (const auto& fo : problem.offers) {
     expected *= static_cast<uint64_t>(fo.TimeFlexibility()) + 1;

@@ -197,15 +197,15 @@ TEST(SchedulingKernelPropertyTest, MatchesNaiveAndReferenceAcrossRandomRuns) {
       EXPECT_NEAR(*kernel_total, NaiveTotalCost(p, s), RelTol(*ref_total));
     }
 
-    // The shim follows the kernel (spot check). Compare against a *fresh*
-    // reference evaluator: `ref` above reached `current` through incremental
-    // ApplyMoves, whose floating-point history a fresh SetSchedule does not
-    // share (in either implementation).
-    CostEvaluator shim(p);
-    ASSERT_TRUE(shim.SetSchedule(current).ok());
+    // A fresh SetSchedule follows the reference (spot check). Compare
+    // against a *fresh* reference evaluator: `ref` above reached `current`
+    // through incremental ApplyMoves, whose floating-point history a fresh
+    // SetSchedule does not share (in either implementation).
+    ScheduleWorkspace fresh(cp);
+    ASSERT_TRUE(fresh.SetSchedule(cp, current).ok());
     ReferenceCostEvaluator fresh_ref(p);
     ASSERT_TRUE(fresh_ref.SetSchedule(current).ok());
-    EXPECT_EQ(shim.Cost().total(), fresh_ref.Cost().total());
+    EXPECT_EQ(fresh.Cost(cp).total(), fresh_ref.Cost().total());
   }
   EXPECT_GE(problems, 200);
 }
